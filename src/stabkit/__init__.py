@@ -18,6 +18,7 @@ from .lattice import (
     ComplexMukaiVector,
     DeltaBox,
     InputError,
+    InvariantError,
     MukaiVector,
     NSLattice,
     enumerate_delta,
@@ -57,7 +58,7 @@ from .curve import (
     slope_phase,
     z_standard,
 )
-from .quiver import Quiver, QuiverRep, euler_pairing, hom_space, subobjects
+from .quiver import Quiver, QuiverRep, SubobjectLattice, euler_pairing, hom_space
 from .heart import (
     HeartCharge,
     deformation_test,

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 mathematical violation or negative verdict,
-2 invalid input.  All data outputs are byte-deterministic; metadata goes
+2 invalid input, 3 internal error (a failed invariant or any other
+uncaught exception).  All data outputs are byte-deterministic; metadata goes
 into '#' comment lines.  STABKIT_BOUND overrides the default enumeration
 bounds.
 """
@@ -14,6 +15,7 @@ import json
 import os
 import re
 import sys
+import traceback
 from fractions import Fraction
 
 from .curve import (
@@ -673,6 +675,10 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError, SyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # InvariantError and every other defect
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

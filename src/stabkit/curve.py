@@ -173,24 +173,10 @@ def hn_polygon(parts: Sequence[CurveClass], zc: CurveCharge) -> HNPolygon:
     return HNPolygon(tuple(vertices), tuple(merged))
 
 
-def curve_discreteness(matrix_rows, flagged_irrational: bool = False) -> bool:
+def curve_discreteness(matrix_rows) -> bool:
     """True iff the charge matrix is exactly rational, so the image of
-    Z lies in a lattice.
-
-    Charges with irrational coefficients (the classic tilted example
-    with all objects of one phase) can only be passed in as a rational
-    approximation plus this flag, and are reported non-discrete.
-    """
-    if flagged_irrational:
-        return False
+    Z lies in a lattice."""
     for row in matrix_rows:
         for x in row:
             as_fraction(x)  # raises TypeError on non-exact input
     return True
-
-
-def noncompact_slope_charge(phi_approx) -> tuple:
-    """Matrix rows of Z(E) = i (deg - phi rk) for a rational stand-in of
-    the irrational slope parameter; degenerate on purpose (Re = 0)."""
-    phi = as_fraction(phi_approx)
-    return ((Fraction(0), Fraction(0)), (-phi, Fraction(1)))

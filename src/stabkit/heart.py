@@ -30,7 +30,7 @@ from .exact import (
     cos_pi,
     sin2_pi,
 )
-from .lattice import InputError
+from .lattice import InputError, InvariantError
 from .quiver import (
     DEFAULT_TOTAL_DIM,
     Quiver,
@@ -44,56 +44,33 @@ from .quiver import (
 )
 
 
-def _phase_max(values):
-    best = None
-    for v in values:
-        if best is None or (v - best).sign() > 0:
-            best = v
-    return best
+def _charge_values(lat: SubobjectLattice, zc: HeartCharge) -> list:
+    """The integer charge value (x, y) of every lattice entry.
 
-
-class _ChargeTable:
-    """Integer engine for one (rep, charge) pair.
-
-    Clears denominators of the charge once (a common positive scale does
-    not move any phase), attaches to every lattice entry its integer
-    charge value, and precomputes containment bitmasks, so that all
-    phase comparisons inside the HN machinery are single integer cross
-    products: phi(a) < phi(b) iff a.x b.y - a.y b.x > 0 on H-bar.
+    Denominators of the charge are cleared once (a common positive scale
+    does not move any phase), so that every phase comparison inside the
+    HN machinery is a single integer cross product: phi(a) < phi(b) iff
+    a.x b.y - a.y b.x > 0 on H-bar.
     """
+    den = 1
+    for zv in zc.z:
+        den = math.lcm(den, zv.re.denominator, zv.im.denominator)
+    zint = [(int(zv.re * den), int(zv.im * den)) for zv in zc.z]
+    by_dims = {}
+    values = []
+    for ent in lat.entries:
+        if ent.dims not in by_dims:
+            x = sum(d * z[0] for d, z in zip(ent.dims, zint))
+            y = sum(d * z[1] for d, z in zip(ent.dims, zint))
+            by_dims[ent.dims] = (x, y)
+        values.append(by_dims[ent.dims])
+    return values
 
-    __slots__ = ("lat", "val", "tot", "above", "below", "n")
 
-    def __init__(self, lat: SubobjectLattice, zc: HeartCharge):
-        self.lat = lat
-        den = 1
-        for zv in zc.z:
-            den = math.lcm(den, zv.re.denominator, zv.im.denominator)
-        zint = [(int(zv.re * den), int(zv.im * den)) for zv in zc.z]
-        vals = {}
-        self.val = []
-        self.tot = []
-        for ent in lat.entries:
-            if ent.dims not in vals:
-                x = sum(d * z[0] for d, z in zip(ent.dims, zint))
-                y = sum(d * z[1] for d, z in zip(ent.dims, zint))
-                vals[ent.dims] = (x, y)
-            self.val.append(vals[ent.dims])
-            self.tot.append(ent.total_dim())
-        n = len(lat.entries)
-        self.n = n
-        above = [0] * n  # above[i] bit j set: i strictly contained in j
-        below = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if i != j and lat.leq(i, j):
-                    above[i] |= 1 << j
-                    below[j] |= 1 << i
-        self.above, self.below = above, below
-
-    def cls(self, lo: int, hi: int) -> tuple:
-        a, b = self.val[lo], self.val[hi]
-        return (b[0] - a[0], b[1] - a[1])
+def _cls(values: list, lo: int, hi: int) -> tuple:
+    """Integer charge value of the subquotient entries[hi] / entries[lo]."""
+    a, b = values[lo], values[hi]
+    return (b[0] - a[0], b[1] - a[1])
 
 
 def _cross(a: tuple, b: tuple) -> int:
@@ -184,57 +161,57 @@ class SemistabilityVerdict:
         return self.status in ("stable", "semistable")
 
 
-def _max_destabilizer(tab: _ChargeTable, current: int) -> int:
+def _max_destabilizer(lat: SubobjectLattice, values: list, current: int) -> int:
     """The subobject strictly above `current` whose quotient class has
     maximal phase, ties broken by maximal total dimension and then the
     deterministic lattice order."""
     best = None
     best_cls = None
-    for j in _bits(tab.above[current]):
-        cv = tab.cls(current, j)
+    for j in _bits(lat.above[current]):
+        cv = _cls(values, current, j)
         if best is None:
             best, best_cls = j, cv
             continue
         c = _cross(best_cls, cv)  # > 0 iff phi(best) < phi(j)
-        if c > 0 or (c == 0 and tab.tot[j] > tab.tot[best]):
+        if c > 0 or (
+            c == 0 and lat.entries[j].total_dim() > lat.entries[best].total_dim()
+        ):
             best, best_cls = j, cv
     assert best is not None
     return best
+
+
+def _verdict(
+    lat: SubobjectLattice, values: list, zc: HeartCharge
+) -> SemistabilityVerdict:
+    """Semistability of lat.E against every proper nonzero subobject; the
+    witness of instability is the maximal destabilizer of E."""
+    phi = zc.phase(lat.E.dims)
+    top_val = values[lat.top]
+    first = _max_destabilizer(lat, values, lat.bottom)
+    if _cross(top_val, values[first]) > 0:  # phi(E) < phi(first)
+        return SemistabilityVerdict(
+            "unstable", phi, lat.sub_rep(first), lat.entries[first].dims
+        )
+    proper = (v for i, v in enumerate(values) if i not in (lat.bottom, lat.top))
+    stable = all(_cross(top_val, v) != 0 for v in proper)
+    return SemistabilityVerdict("stable" if stable else "semistable", phi)
+
+
+def _lattice_verdict(E: QuiverRep, zc: HeartCharge, Q: Quiver, total_bound: int):
+    """The subobject lattice of E, its charge values and E's verdict."""
+    if E.is_zero():
+        raise InputError("the zero representation has no stability verdict")
+    lat = SubobjectLattice(E, Q, total_bound)
+    values = _charge_values(lat, zc)
+    return lat, values, _verdict(lat, values, zc)
 
 
 def is_semistable(
     E: QuiverRep, zc: HeartCharge, Q: Quiver, total_bound: int = DEFAULT_TOTAL_DIM
 ) -> SemistabilityVerdict:
     """Exhaustive check over all proper nonzero subobjects."""
-    if E.is_zero():
-        raise InputError("the zero representation has no stability verdict")
-    lat = SubobjectLattice(E, Q, total_bound)
-    tab = _ChargeTable(lat, zc)
-    top_val = tab.val[lat.top]
-    strictly_below = True
-    worst = None
-    for i in range(tab.n):
-        if i == lat.bottom or i == lat.top:
-            continue
-        c = _cross(top_val, tab.val[i])  # > 0 iff phi(E) < phi(sub)
-        if c > 0:
-            if (
-                worst is None
-                or _cross(tab.val[worst], tab.val[i]) > 0
-                or (
-                    _cross(tab.val[worst], tab.val[i]) == 0
-                    and tab.tot[i] > tab.tot[worst]
-                )
-            ):
-                worst = i
-        elif c == 0:
-            strictly_below = False
-    phi = zc.phase(E.dims)
-    if worst is not None:
-        return SemistabilityVerdict(
-            "unstable", phi, lat.sub_rep(worst), lat.entries[worst].dims
-        )
-    return SemistabilityVerdict("stable" if strictly_below else "semistable", phi)
+    return _lattice_verdict(E, zc, Q, total_bound)[2]
 
 
 @dataclass(frozen=True)
@@ -257,6 +234,22 @@ class HNResult:
         return self.factors[-1][1]
 
 
+def _hn_chain(lat: SubobjectLattice, values: list) -> list:
+    """Entry indices of the greedy HN chain, bottom to top."""
+    current = lat.bottom
+    chain = [current]
+    prev_cls = None
+    while current != lat.top:
+        best = _max_destabilizer(lat, values, current)
+        cls_val = _cls(values, current, best)
+        if prev_cls is not None and _cross(cls_val, prev_cls) <= 0:
+            raise InvariantError("HN phases must strictly decrease")
+        prev_cls = cls_val
+        chain.append(best)
+        current = best
+    return chain
+
+
 def hn_filtration(
     E: QuiverRep, zc: HeartCharge, Q: Quiver, total_bound: int = DEFAULT_TOTAL_DIM
 ) -> HNResult:
@@ -270,26 +263,24 @@ def hn_filtration(
     if E.is_zero():
         raise InputError("the zero representation has no HN filtration")
     lat = SubobjectLattice(E, Q, total_bound)
-    tab = _ChargeTable(lat, zc)
-    current = lat.bottom
-    chain = [current]
+    chain = _hn_chain(lat, _charge_values(lat, zc))
     factors = []
-    prev_cls = None
-    while current != lat.top:
-        best = _max_destabilizer(tab, current)
-        cls_val = tab.cls(current, best)
-        if prev_cls is not None:
-            assert _cross(cls_val, prev_cls) > 0, "HN phases must strictly decrease"
-        prev_cls = cls_val
-        cls = lat.interval_quotient_class(current, best)
+    for lo, hi in zip(chain, chain[1:]):
+        cls = lat.interval_quotient_class(lo, hi)
         factors.append((cls, zc.phase(cls)))
-        chain.append(best)
-        current = best
     return HNResult(
         tuple(lat.entries[i].dims for i in chain),
         tuple(factors),
         tuple(lat.basis_of(i) for i in chain),
     )
+
+
+def _hn_phase_range(lat: SubobjectLattice, zc: HeartCharge) -> tuple:
+    """Phases of the first and the last HN factor of lat.E."""
+    chain = _hn_chain(lat, _charge_values(lat, zc))
+    top = zc.phase(lat.interval_quotient_class(chain[0], chain[1]))
+    bottom = zc.phase(lat.interval_quotient_class(chain[-2], chain[-1]))
+    return top, bottom
 
 
 def hn_oracle(
@@ -300,12 +291,12 @@ def hn_oracle(
     list of chains (as tuples of dimension vectors); Harder-Narasimhan
     uniqueness says there is exactly one."""
     lat = SubobjectLattice(E, Q, total_bound)
-    tab = _ChargeTable(lat, zc)
+    values = _charge_values(lat, zc)
 
     def factor_semistable(lo: int, hi: int) -> bool:
-        base = tab.cls(lo, hi)
-        for mid in _bits(tab.above[lo] & tab.below[hi]):
-            if _cross(base, tab.cls(lo, mid)) > 0:  # sub phase above factor
+        base = _cls(values, lo, hi)
+        for mid in _bits(lat.above[lo] & lat.below[hi]):
+            if _cross(base, _cls(values, lo, mid)) > 0:  # sub phase above factor
                 return False
         return True
 
@@ -315,8 +306,8 @@ def hn_oracle(
         if current == lat.top:
             results.append(tuple(lat.entries[i].dims for i in chain))
             return
-        for nxt in _bits(tab.above[current]):
-            cv = tab.cls(current, nxt)
+        for nxt in _bits(lat.above[current]):
+            cv = _cls(values, current, nxt)
             if prev_cls is not None and _cross(cv, prev_cls) <= 0:
                 continue  # phases must strictly decrease along the chain
             if factor_semistable(current, nxt):
@@ -331,27 +322,21 @@ def jh_filtration(
 ) -> list:
     """Stable factors (with multiplicity) of a semistable representation,
     all of the same phase; the multiset is unique, the chain is not."""
-    verdict = is_semistable(E, zc, Q, total_bound)
+    lat, values, verdict = _lattice_verdict(E, zc, Q, total_bound)
     if not verdict.is_semistable():
         raise InputError("Jordan-Holder refinement needs a semistable input")
-    lat = SubobjectLattice(E, Q, total_bound)
-    tab = _ChargeTable(lat, zc)
-    top_val = tab.val[lat.top]
-
-    def same_phase(lo: int, hi: int) -> bool:
-        return _cross(tab.cls(lo, hi), top_val) == 0
-
+    top_val = values[lat.top]
     factors = []
     current = lat.bottom
     while current != lat.top:
         # the minimal same-phase extension is a stable factor
-        best = None
-        for nxt in _bits(tab.above[current]):
-            if not same_phase(current, nxt):
-                continue
-            if best is None or tab.tot[nxt] < tab.tot[best]:
-                best = nxt
-        assert best is not None, "semistable object must refine"
+        same_phase = [
+            nxt
+            for nxt in _bits(lat.above[current])
+            if _cross(_cls(values, current, nxt), top_val) == 0
+        ]
+        assert same_phase, "semistable object must refine"
+        best = min(same_phase, key=lambda i: lat.entries[i].total_dim())
         factors.append(lat.interval_quotient_class(current, best))
         current = best
     return factors
@@ -362,22 +347,20 @@ def jh_oracle(
 ) -> set:
     """The set of stable-factor multisets over all maximal same-phase
     chains (should be a single multiset)."""
-    verdict = is_semistable(E, zc, Q, total_bound)
+    lat, values, verdict = _lattice_verdict(E, zc, Q, total_bound)
     if not verdict.is_semistable():
         raise InputError("oracle needs a semistable input")
-    lat = SubobjectLattice(E, Q, total_bound)
-    tab = _ChargeTable(lat, zc)
-    top_val = tab.val[lat.top]
+    top_val = values[lat.top]
     multisets = set()
 
     def minimal_extensions(lo: int):
         out = []
-        for hi in _bits(tab.above[lo]):
-            if _cross(tab.cls(lo, hi), top_val) != 0:
+        for hi in _bits(lat.above[lo]):
+            if _cross(_cls(values, lo, hi), top_val) != 0:
                 continue
             minimal = True
-            for mid in _bits(tab.above[lo] & tab.below[hi]):
-                if _cross(tab.cls(lo, mid), top_val) == 0:
+            for mid in _bits(lat.above[lo] & lat.below[hi]):
+                if _cross(_cls(values, lo, mid), top_val) == 0:
                     minimal = False
                     break
             if minimal:
@@ -425,27 +408,17 @@ def torsion_cut(
         zero = QuiverRep.zero(Q)
         return TorsionCut(zero, zero.dims, zero, zero.dims, True)
     lat = SubobjectLattice(E, Q, total_bound)
-    hn = hn_filtration(E, zc, Q, total_bound)
+    chain = _hn_chain(lat, _charge_values(lat, zc))
     cut = 0
-    for cls, phi in hn.factors:
-        if (phi - phi0).sign() > 0:
+    for lo, hi in zip(chain, chain[1:]):
+        if (zc.phase(lat.interval_quotient_class(lo, hi)) - phi0).sign() > 0:
             cut += 1
         else:
             break
-    sub_dims = hn.chain_dims[cut]
-    # locate the chain subobject in the lattice to build witnesses
-    idx = next(
-        i
-        for i, ent in enumerate(lat.entries)
-        if ent.dims == sub_dims
-        and lat.basis_of(i) == hn.chain_witnesses[cut]
-    )
-    sub = lat.sub_rep(idx)
-    quo = lat.quotient_rep(idx)
+    sub = lat.sub_rep(chain[cut])
+    quo = lat.quotient_rep(chain[cut])
     hom_dim, _ = hom_space(sub, quo, Q) if not sub.is_zero() and not quo.is_zero() else (0, [])
-    return TorsionCut(
-        sub, sub.dims, quo, tuple(e - s for e, s in zip(E.dims, sub_dims)), hom_dim == 0
-    )
+    return TorsionCut(sub, sub.dims, quo, quo.dims, hom_dim == 0)
 
 
 @dataclass(frozen=True)
@@ -589,11 +562,8 @@ def tilt_heart_check(
     failures = []
     for T in t_list:
         for F in f_list:
-            if hom_space(T, F, Q)[0] != 0:
-                failures.append(("hom-vanishing", (T.dims, F.dims)))
-            e1 = ext1_dim(T, F, Q)
             h = hom_space(T, F, Q)[0]
-            if h - e1 != euler_pairing(T.dims, F.dims, Q):
+            if h - ext1_dim(T, F, Q) != euler_pairing(T.dims, F.dims, Q):
                 failures.append(("euler-consistency", (T.dims, F.dims)))
     degenerate = None
     if not f_list:
@@ -605,14 +575,6 @@ def tilt_heart_check(
 
 # ---------------------------------------------------------------------------
 # slicing metric, norms, masses, deformation
-
-
-def _phase_extremes(E, zc, Q, total_bound, cache):
-    key = (id(zc), E.dims, E.mats)
-    if key not in cache:
-        hn = hn_filtration(E, zc, Q, total_bound)
-        cache[key] = (hn.phase_top(), hn.phase_bottom())
-    return cache[key]
 
 
 def slicing_distance(
@@ -629,25 +591,24 @@ def slicing_distance(
     zc2-semistable object squeezed into a zc2-phase +- eps window of
     zc1-phases) restricted to the same object set; the two must agree.
     """
-    cache: dict = {}
     sup: Optional[PhaseValue] = None
     inf_formula: Optional[PhaseValue] = None
     for E in enumerate_reps(Q, max_dims, total_bound):
-        top1, bot1 = _phase_extremes(E, zc1, Q, total_bound, cache)
-        top2, bot2 = _phase_extremes(E, zc2, Q, total_bound, cache)
-        local = _phase_max([abs(top1 - top2), abs(bot1 - bot2)])
-        sup = local if sup is None else _phase_max([sup, local])
+        lat = SubobjectLattice(E, Q, total_bound)
+        top1, bot1 = _hn_phase_range(lat, zc1)
+        top2, bot2 = _hn_phase_range(lat, zc2)
+        local = max(abs(top1 - top2), abs(bot1 - bot2))
+        sup = local if sup is None else max(sup, local)
         if (top2 - bot2).sign() == 0:  # zc2-semistable
-            eps_e = _phase_max([top1 - top2, bot2 - bot1])
-            inf_formula = (
-                eps_e if inf_formula is None else _phase_max([inf_formula, eps_e])
-            )
+            eps_e = max(top1 - top2, bot2 - bot1)
+            inf_formula = eps_e if inf_formula is None else max(inf_formula, eps_e)
     if sup is None:
         return PhaseValue.rational(0)
-    assert inf_formula is not None and (sup - inf_formula).sign() == 0, (
-        "sup- and inf-descriptions of the slicing distance disagree on the "
-        "bounded object set"
-    )
+    if inf_formula is None or (sup - inf_formula).sign() != 0:
+        raise InvariantError(
+            "sup- and inf-descriptions of the slicing distance disagree on the "
+            "bounded object set"
+        )
     return sup
 
 
@@ -829,9 +790,15 @@ def hom_principles_check(
         with vanishing Hom.
     """
     reps = []
+    unsplit = []  # unstable E that do not split against their maximal destabilizer
     for E in enumerate_reps(Q, max_dims, total_bound):
-        v = is_semistable(E, zc, Q, total_bound)
+        lat, values, v = _lattice_verdict(E, zc, Q, total_bound)
         reps.append((E, v))
+        if v.status == "unstable":
+            first = _hn_chain(lat, values)[1]
+            A, B = lat.sub_rep(first), lat.quotient_rep(first)
+            if A.is_zero() or B.is_zero() or hom_space(A, B, Q)[0] != 0:
+                unsplit.append(E.dims)
     failures = []
     checked = 0
     semis = [(E, v) for E, v in reps if v.is_semistable()]
@@ -855,22 +822,8 @@ def hom_principles_check(
         checked += 1
         if not _all_nonzero_invertible(basis, Q):
             failures.append(("endo-not-division", E.dims, None))
-    for E, v in reps:
-        if v.status != "unstable":
-            continue
-        checked += 1
-        lat = SubobjectLattice(E, Q, total_bound)
-        hn = hn_filtration(E, zc, Q, total_bound)
-        idx = next(
-            i
-            for i, ent in enumerate(lat.entries)
-            if ent.dims == hn.chain_dims[1]
-            and lat.basis_of(i) == hn.chain_witnesses[1]
-        )
-        A = lat.sub_rep(idx)
-        B = lat.quotient_rep(idx)
-        if A.is_zero() or B.is_zero() or hom_space(A, B, Q)[0] != 0:
-            failures.append(("unstable-decomposition", E.dims, None))
+    checked += sum(1 for _, v in reps if v.status == "unstable")
+    failures.extend(("unstable-decomposition", dims, None) for dims in unsplit)
     return PrinciplesReport(not failures, checked, tuple(failures))
 
 
@@ -947,11 +900,10 @@ def local_finiteness_probe(
     eta = as_fraction(eta)
     if eta <= 0:
         raise InputError("eta must be positive")
-    cache: dict = {}
     phases = []
     objects = []
     for E in enumerate_reps(Q, max_dims, total_bound):
-        top, bot = _phase_extremes(E, zc, Q, total_bound, cache)
+        top, bot = _hn_phase_range(SubobjectLattice(E, Q, total_bound), zc)
         objects.append((E, top, bot))
         if (top - bot).sign() == 0 and not any(
             (top - q).sign() == 0 for q in phases

@@ -16,13 +16,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .exact import PhaseValue, Quad, RatComplex, as_fraction, rational_sqrt
 from .lattice import (
     ComplexMukaiVector,
     DeltaBox,
     InputError,
+    InvariantError,
     MukaiVector,
     NSLattice,
     enumerate_delta,
@@ -165,7 +166,8 @@ def discreteness_check(zc: K3CentralCharge, m: int, samples: int = 64) -> bool:
             rng.randint(-9, 9),
         )
         z = central_charge(zc, v).scale(m * m)
-        assert z.re.denominator == 1 and z.im.denominator == 1
+        if z.re.denominator != 1 or z.im.denominator != 1:
+            raise InvariantError(f"m^2 Z(v) = {z} is not in Z[i] for v = {v}")
     return True
 
 
@@ -346,8 +348,9 @@ def normalize_to_exp_form(Om: ComplexMukaiVector, lat: NSLattice) -> ExpNormalFo
     target = exp_class(B, omega, lat)
     got_re = re.scale(m[0][0]) + im.scale(m[0][1])
     got_im = re.scale(m[1][0]) + im.scale(m[1][1])
-    assert all(x - y == 0 for x, y in zip(got_re.coords(), target.re.coords()))
-    assert all(x - y == 0 for x, y in zip(got_im.coords(), target.im.coords()))
+    for got, want in ((got_re, target.re), (got_im, target.im)):
+        if not all(x - y == 0 for x, y in zip(got.coords(), want.coords())):
+            raise InvariantError("exp-form round trip missed exp(B + i omega)")
     return ExpNormalForm(m, B, omega)
 
 
@@ -355,7 +358,9 @@ def normalize_to_exp_form(Om: ComplexMukaiVector, lat: NSLattice) -> ExpNormalFo
 # wall scans
 
 
-TParam = Union[Fraction, Quad]
+# types.UnionType, not typing.Union: typing's process-wide cache would keep
+# this Quad class, and its module's globals, alive after a re-import
+TParam = Fraction | Quad
 
 
 @dataclass(frozen=True)

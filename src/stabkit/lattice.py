@@ -24,6 +24,12 @@ class InputError(ValueError):
     """Invalid user input (dimension mismatch, bad invariants, ...)."""
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a defect of the program, not a verdict
+    about the input.  Raised instead of ``assert``, which ``python -O``
+    strips."""
+
+
 def _halve(x):
     """Exact x/2 for int, Fraction or any exact field element."""
     if isinstance(x, int):

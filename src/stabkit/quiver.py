@@ -292,21 +292,18 @@ def check_resource(E: QuiverRep, Q: Quiver, total_bound: int = DEFAULT_TOTAL_DIM
 # Hom, Ext^1, Euler form
 
 
-def hom_space(E: QuiverRep, F: QuiverRep, Q: Quiver) -> tuple[int, list]:
-    """Dimension and basis of Hom(E, F): solutions of the commuting-square
-    system  phi_tgt o E_a = F_a o phi_src  over F_p.
-
-    A basis element is a tuple of matrices (phi_v), one per vertex.
-    """
-    if len(E.dims) != Q.n or len(F.dims) != Q.n:
+def _commuting_square_rows(E: QuiverRep, F: QuiverRep, Q: Quiver) -> tuple:
+    """The linear map (phi_v) |-> (phi_tgt o E_a - F_a o phi_src) over F_p,
+    one row per arrow a and entry of its target block.  The unknowns are
+    the entries of phi_v, row-major, v = 0..n-1; returns (rows, offsets)
+    with phi_v[i][j] at column offsets[v] + i * E.dims[v] + j and
+    offsets[-1] the number of unknowns."""
+    if any(len(X.dims) != Q.n or len(X.mats) != len(Q.arrows) for X in (E, F)):
         raise InputError("representations do not live on this quiver")
     p = Q.p
-    # unknowns: entries of phi_v, row-major, v = 0..n-1
-    offsets = []
-    total = 0
+    offsets = [0]
     for v in range(Q.n):
-        offsets.append(total)
-        total += F.dims[v] * E.dims[v]
+        offsets.append(offsets[-1] + F.dims[v] * E.dims[v])
 
     def var(v, i, j):  # phi_v[i][j], i < F.dims[v], j < E.dims[v]
         return offsets[v] + i * E.dims[v] + j
@@ -318,19 +315,30 @@ def hom_space(E: QuiverRep, F: QuiverRep, Q: Quiver) -> tuple[int, list]:
         #   sum_k phi_b[i][k] Ea[k][j] - sum_k Fa[i][k] phi_a[k][j] = 0
         for i in range(F.dims[b]):
             for j in range(E.dims[a]):
-                row = [0] * total
+                row = [0] * offsets[-1]
                 for k in range(E.dims[b]):
                     row[var(b, i, k)] = (row[var(b, i, k)] + Ea[k][j]) % p
                 for k in range(F.dims[a]):
                     row[var(a, k, j)] = (row[var(a, k, j)] - Fa[i][k]) % p
                 rows.append(row)
-    kernel = nullspace_mod_p(rows, total, p)
+    return rows, offsets
+
+
+def hom_space(E: QuiverRep, F: QuiverRep, Q: Quiver) -> tuple[int, list]:
+    """Dimension and basis of Hom(E, F): solutions of the commuting-square
+    system  phi_tgt o E_a = F_a o phi_src  over F_p.
+
+    A basis element is a tuple of matrices (phi_v), one per vertex.
+    """
+    rows, offsets = _commuting_square_rows(E, F, Q)
+    kernel = nullspace_mod_p(rows, offsets[-1], Q.p)
     basis = []
     for kv in kernel:
         phis = []
         for v in range(Q.n):
+            col = offsets[v]
             mat = tuple(
-                tuple(kv[var(v, i, j)] for j in range(E.dims[v]))
+                tuple(kv[col + i * E.dims[v] + j] for j in range(E.dims[v]))
                 for i in range(F.dims[v])
             )
             phis.append(mat)
@@ -342,31 +350,8 @@ def ext1_dim(E: QuiverRep, F: QuiverRep, Q: Quiver) -> int:
     """dim Ext^1(E, F), from the two-term resolution: the cokernel of
     (phi_v) |-> (F_a phi_src - phi_tgt E_a).  Independent of the Euler
     bookkeeping, which it is tested against."""
-    p = Q.p
-    dom = sum(F.dims[v] * E.dims[v] for v in range(Q.n))
-    cod = sum(F.dims[b] * E.dims[a] for a, b in Q.arrows)
-    offsets = []
-    total = 0
-    for v in range(Q.n):
-        offsets.append(total)
-        total += F.dims[v] * E.dims[v]
-
-    def var(v, i, j):
-        return offsets[v] + i * E.dims[v] + j
-
-    rows = []
-    for idx, (a, b) in enumerate(Q.arrows):
-        Ea, Fa = E.mats[idx], F.mats[idx]
-        for i in range(F.dims[b]):
-            for j in range(E.dims[a]):
-                row = [0] * total
-                for k in range(E.dims[b]):
-                    row[var(b, i, k)] = (row[var(b, i, k)] + Ea[k][j]) % p
-                for k in range(F.dims[a]):
-                    row[var(a, k, j)] = (row[var(a, k, j)] - Fa[i][k]) % p
-                rows.append(row)
-    assert len(rows) == cod and total == dom
-    return cod - rank_mod_p(rows, p)
+    rows, _ = _commuting_square_rows(E, F, Q)
+    return len(rows) - rank_mod_p(rows, Q.p)
 
 
 def euler_pairing(d: Sequence[int], e: Sequence[int], Q: Quiver) -> int:
@@ -397,7 +382,8 @@ class SubobjectEntry:
 
 
 class SubobjectLattice:
-    """All subrepresentations of a rep, with O(1) containment tests."""
+    """All subrepresentations of a rep, in a deterministic order (zero
+    first, E last), with their containment order as bitmasks."""
 
     def __init__(self, E: QuiverRep, Q: Quiver, total_bound: int = DEFAULT_TOTAL_DIM):
         check_resource(E, Q, total_bound)
@@ -405,7 +391,6 @@ class SubobjectLattice:
         p = Q.p
         per_vertex = [subspaces_of(d, p) for d in E.dims]
         self._per_vertex = per_vertex
-        self._leq_tables = [subspace_leq_table(d, p) for d in E.dims]
         # image table: for each arrow and each source-subspace index, the
         # set of encoded image vectors
         img: list[list[frozenset]] = []
@@ -439,6 +424,35 @@ class SubobjectLattice:
         self.bottom = self._index[tuple(0 for _ in range(Q.n))]
         top_choice = tuple(len(per_vertex[v]) - 1 for v in range(Q.n))
         self.top = self._index[top_choice]
+        self.above, self.below = self._containment_masks(
+            [subspace_leq_table(d, p) for d in E.dims]
+        )
+
+    def _containment_masks(self, leq_tables) -> tuple[list, list]:
+        """above[i] has bit j set iff entry i is strictly contained in entry
+        j, and below[j] has bit i set then.  Per vertex, the entries are
+        grouped by their subspace there; containment is the AND over the
+        vertices of the groups whose subspaces contain (or lie in) it."""
+        n = len(self.entries)
+        above = [(1 << n) - 1] * n
+        below = list(above)
+        for v, leq in enumerate(leq_tables):
+            by_space: dict = {}
+            for i, ent in enumerate(self.entries):
+                s = ent.space_idx[v]
+                by_space[s] = by_space.get(s, 0) | 1 << i
+            # the groups are disjoint bit sets, so their sum is their union
+            ups, downs = {}, {}
+            for s in by_space:
+                ups[s] = sum(m for t, m in by_space.items() if leq[s][t])
+                downs[s] = sum(m for t, m in by_space.items() if leq[t][s])
+            for i, ent in enumerate(self.entries):
+                above[i] &= ups[ent.space_idx[v]]
+                below[i] &= downs[ent.space_idx[v]]
+        for i in range(n):
+            above[i] ^= 1 << i
+            below[i] ^= 1 << i
+        return above, below
 
     def __len__(self):
         return len(self.entries)
@@ -447,11 +461,7 @@ class SubobjectLattice:
         return iter(self.entries)
 
     def leq(self, i: int, j: int) -> bool:
-        a, b = self.entries[i], self.entries[j]
-        return all(
-            self._leq_tables[v][a.space_idx[v]][b.space_idx[v]]
-            for v in range(self.Q.n)
-        )
+        return i == j or bool(self.above[i] >> j & 1)
 
     def basis_of(self, i: int) -> tuple:
         """Per-vertex bases of the subobject (tuples of vectors)."""
@@ -473,13 +483,6 @@ class SubobjectLattice:
         """Dimension vector of entries[hi]/entries[lo] (assumes lo <= hi)."""
         a, b = self.entries[lo], self.entries[hi]
         return tuple(y - x for x, y in zip(a.dims, b.dims))
-
-
-def subobjects(E: QuiverRep, Q: Quiver, total_bound: int = DEFAULT_TOTAL_DIM):
-    """Exhaustive list of subrepresentation witnesses, in a deterministic
-    order (zero first, E last)."""
-    lat = SubobjectLattice(E, Q, total_bound)
-    return lat
 
 
 def _solve_in_basis(basis: Sequence[tuple], target: tuple, p: int) -> list[int]:

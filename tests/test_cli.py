@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from stabkit import heart
 from stabkit.cli import main, parse_path_expr, parse_range, parse_rep
 from stabkit.lattice import InputError
 from stabkit.quiver import Quiver
@@ -185,6 +186,27 @@ class TestQuiverCommands:
         out = capsys.readouterr().out
         assert "factor 1" in out and "1/2" in out
         assert "factor 2" not in out
+
+    def test_invariant_failure_is_exit_3(self, quiver_file, monkeypatch, capsys):
+        def first_above(lat, values, current):
+            return min(heart._bits(lat.above[current]))
+
+        monkeypatch.setattr(heart, "_max_destabilizer", first_above)
+        code = main(
+            ["quiver", "hn", "--config", quiver_file, "--rep", "dims=[1,1];f=[[0]]"]
+        )
+        assert code == 3
+        assert "InvariantError" in capsys.readouterr().err
+
+    def test_uncaught_internal_error_is_exit_3(self, quiver_file, monkeypatch):
+        def broken(lat, zc):
+            raise ZeroDivisionError("defect")
+
+        monkeypatch.setattr(heart, "_charge_values", broken)
+        code = main(
+            ["quiver", "hn", "--config", quiver_file, "--rep", "dims=[1,1];f=[[1]]"]
+        )
+        assert code == 3
 
     def test_jh(self, quiver_file, capsys):
         code = main(

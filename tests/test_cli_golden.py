@@ -1,0 +1,87 @@
+"""Byte-for-byte golden outputs of every README CLI command on configs/.
+
+Each command runs in-process through ``cli.main`` in an empty working
+directory; its exit code, stdout and every file it writes are compared
+with ``cli_golden.json``.  Regenerate that file (only when an output is
+meant to change) with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
+K3 = str(ROOT / "configs" / "k3_rank1.json")
+A2 = str(ROOT / "configs" / "a2.json")
+
+COMMANDS = [
+    ["k3", "scan", "--lattice", K3, "--B", "0", "--omega", "t*h",
+     "--t", "1/2..2", "--bound", "4", "-o", "walls.csv", "--svg", "walls.svg"],
+    ["k3", "scan", "--lattice", K3, "--B", "u*h", "--omega", "t*h",
+     "--t", "1/2..2", "--u", "0..1", "--bound", "2", "--svg", "chambers.svg"],
+    ["k3", "guard", "--lattice", K3, "--B", "0", "--omega", "t*h", "--t", "2"],
+    ["k3", "heart-check", "--lattice", K3, "--B", "0", "--omega", "t*h",
+     "--t", "2", "--bound", "6"],
+    ["k3", "normalize", "--lattice", K3, "--re", "1,0,-9/4", "--im", "0,3/2,0"],
+    ["quiver", "hn", "--config", A2, "--rep", "dims=[1,1];f=[[1]]"],
+    ["quiver", "check", "--config", A2, "--suite", "gp", "--bound", "2,2"],
+    ["quiver", "deform", "--config", A2, "--eps", "1/8", "--bound", "2,2",
+     "--perturb", "0:1/10,0"],
+    ["quiver", "deform", "--config", A2, "--eps", "1/4", "--bound", "2,2",
+     "--rotate", "1/6"],
+    ["quiver", "tilt", "--config", A2, "--torsion", "d0=0", "--bound", "2,2"],
+    ["curve", "decompose", "--m", "0,-1;1,0"],
+    ["curve", "polygon", "--parts", "0,1 1,0"],
+    ["curve", "order-check", "--d=-10..10"],
+    ["group", "compose", "--g", '{"rot": "1/8"}', "--h", '{"rot": "3/8"}'],
+    ["group", "commute", "--lattice", K3, "--iso", "reflection:1,0,1",
+     "--g", '{"M": [["0","1"],["-1","0"]], "f0": "-1/2"}',
+     "--re", "1,0,-1", "--im", "0,1,0"],
+]
+
+
+def run_command(argv, workdir: Path) -> dict:
+    """Exit code, stdout and written files of one command run in workdir."""
+    from stabkit.cli import main
+
+    out = io.StringIO()
+    old = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        os.chdir(old)
+    files = {p.name: p.read_text() for p in sorted(workdir.iterdir())}
+    return {"exit": code, "stdout": out.getvalue(), "files": files}
+
+
+def _key(argv) -> str:
+    return " ".join(a.replace(str(ROOT) + os.sep, "") for a in argv)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(c[:2]) for c in COMMANDS])
+def test_readme_command_matches_golden(argv, tmp_path, monkeypatch):
+    monkeypatch.delenv("STABKIT_BOUND", raising=False)
+    golden = json.loads(GOLDEN.read_text())
+    assert run_command(argv, tmp_path) == golden[_key(argv)]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    os.environ.pop("STABKIT_BOUND", None)
+    record = {}
+    for argv in COMMANDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            record[_key(argv)] = run_command(argv, Path(tmp))
+    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(record)} commands to {GOLDEN}", file=sys.stderr)

@@ -10,7 +10,6 @@ from stabkit.curve import (
     curve_discreteness,
     gl_orbit_decompose,
     hn_polygon,
-    noncompact_slope_charge,
     phase_order_check,
     phase_to_slope,
     slope_phase,
@@ -162,8 +161,3 @@ class TestDiscreteness:
 
     def test_rational_entries(self):
         assert curve_discreteness(((F(1, 3), 0), (0, 1)))
-
-    def test_flagged_irrational_phi(self):
-        rows = noncompact_slope_charge(F(577, 408))  # rational stand-in
-        assert curve_discreteness(rows, flagged_irrational=True) is False
-        assert curve_discreteness(rows) is True  # the stand-in itself is rational

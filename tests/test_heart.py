@@ -1,8 +1,13 @@
 import itertools
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from stabkit import heart
 from stabkit.exact import PhaseValue, RatComplex, SqrtSum
 from stabkit.heart import (
     HeartCharge,
@@ -21,7 +26,7 @@ from stabkit.heart import (
     torsion_cut,
     torsion_pair_verify,
 )
-from stabkit.lattice import InputError
+from stabkit.lattice import InputError, InvariantError
 from stabkit.quiver import Quiver, QuiverRep, enumerate_reps
 
 F = Fraction
@@ -110,6 +115,10 @@ class TestSemistability:
             is_semistable(QuiverRep.zero(a2), z_std, a2)
 
 
+def _first_above(lat, values, current):
+    return min(heart._bits(lat.above[current]))
+
+
 class TestHNFiltration:
     def test_semistable_single_factor(self, a2, z_std, P):
         hn = hn_filtration(P, z_std, a2)
@@ -122,6 +131,43 @@ class TestHNFiltration:
         assert [f[0] for f in hn.factors] == [(1, 0), (0, 1)]
         assert hn.factors[0][1] == F(3, 4)
         assert hn.factors[1][1] == F(1, 4)
+
+    def test_wrong_destabilizer_raises_invariant_error(
+        self, a2, z_std, S1, S2, monkeypatch
+    ):
+        # taking the first entry above instead of the maximal destabilizer
+        # puts S2 (phase 1/4) below S1 (phase 3/4)
+        monkeypatch.setattr(heart, "_max_destabilizer", _first_above)
+        with pytest.raises(InvariantError, match="strictly decrease"):
+            hn_filtration(direct_sum(a2, S1, S2), z_std, a2)
+
+    def test_invariant_error_survives_python_O(self):
+        code = textwrap.dedent(
+            """
+            from stabkit import heart
+            from stabkit.exact import RatComplex
+            from stabkit.lattice import InvariantError
+            from stabkit.quiver import Quiver, QuiverRep
+            heart._max_destabilizer = lambda lat, values, cur: min(
+                heart._bits(lat.above[cur])
+            )
+            Q = Quiver.a_n(2, p=2)
+            zc = heart.HeartCharge([RatComplex(-1, 1), RatComplex(1, 1)])
+            try:
+                heart.hn_filtration(QuiverRep((1, 1), (((0,),),), Q), zc, Q)
+            except InvariantError:
+                print("raised")
+            """
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src},
+            check=True,
+        ).stdout
+        assert out.strip() == "raised"
 
     def test_P_swapped_chain(self, a2, z_swapped, P):
         hn = hn_filtration(P, z_swapped, a2)

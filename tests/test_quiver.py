@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from stabkit.lattice import InputError
@@ -5,12 +7,12 @@ from stabkit.quiver import (
     Quiver,
     QuiverRep,
     ResourceBound,
+    SubobjectLattice,
     count_reps,
     enumerate_reps,
     ext1_dim,
     euler_pairing,
     hom_space,
-    subobjects,
     subspaces_of,
 )
 
@@ -112,6 +114,15 @@ class TestEulerForm:
                 lhs = hom_space(E, F, a2)[0] - ext1_dim(E, F, a2)
                 assert lhs == euler_pairing(E.dims, F.dims, a2)
 
+    def test_reps_of_another_quiver_rejected(self, a2):
+        a3 = Quiver.a_n(3, p=2)
+        wrong = (QuiverRep.simple(a3, 0), QuiverRep.simple(a3, 1))
+        short = (QuiverRep((1,), ()), QuiverRep((1,), ()))
+        for E, F in (wrong, short):
+            for fn in (ext1_dim, hom_space):
+                with pytest.raises(InputError):
+                    fn(E, F, a2)
+
     def test_hom_minus_ext_is_euler_kronecker(self):
         Q = Quiver.kronecker(2, 2)
         reps = list(enumerate_reps(Q, (1, 1)))
@@ -123,26 +134,26 @@ class TestEulerForm:
 
 class TestSubobjects:
     def test_simple(self, a2, S1):
-        lat = subobjects(S1, a2)
+        lat = SubobjectLattice(S1, a2)
         assert [e.dims for e in lat.entries] == [(0, 0), (1, 0)]
 
     def test_indecomposable(self, a2, P):
-        lat = subobjects(P, a2)
+        lat = SubobjectLattice(P, a2)
         assert [e.dims for e in lat.entries] == [(0, 0), (0, 1), (1, 1)]
 
     def test_square_of_simple(self, a2, S1):
         E = S1.direct_sum(S1, a2)
-        lat = subobjects(E, a2)
+        lat = SubobjectLattice(E, a2)
         # 0, three lines in F_2^2, and E
         assert len(lat.entries) == 5
 
     def test_resource_bound(self, a2):
         big = QuiverRep((5, 5), ((tuple((0,) * 5 for _ in range(5)),)), a2)
         with pytest.raises(ResourceBound):
-            subobjects(big, a2)
+            SubobjectLattice(big, a2)
 
     def test_sub_and_quotient_reps(self, a2, P):
-        lat = subobjects(P, a2)
+        lat = SubobjectLattice(P, a2)
         mid = next(i for i, e in enumerate(lat.entries) if e.dims == (0, 1))
         sub = lat.sub_rep(mid)
         quo = lat.quotient_rep(mid)
@@ -150,11 +161,60 @@ class TestSubobjects:
         assert quo.dims == (1, 0)
 
     def test_containment(self, a2, P):
-        lat = subobjects(P, a2)
+        lat = SubobjectLattice(P, a2)
         assert lat.leq(lat.bottom, lat.top)
         mid = next(i for i, e in enumerate(lat.entries) if e.dims == (0, 1))
         assert lat.leq(lat.bottom, mid) and lat.leq(mid, lat.top)
         assert not lat.leq(lat.top, mid)
+
+
+def _reference_order(lat):
+    """Strict containment masks from pairwise inclusion of element sets."""
+    spaces = [subspaces_of(d, lat.Q.p) for d in lat.E.dims]
+    elems = [
+        [spaces[v][k].elems for v, k in enumerate(ent.space_idx)]
+        for ent in lat.entries
+    ]
+    n = len(elems)
+    above, below = [0] * n, [0] * n
+    for i, j in itertools.permutations(range(n), 2):
+        if all(a <= b for a, b in zip(elems[i], elems[j])):
+            above[i] |= 1 << j
+            below[j] |= 1 << i
+    return above, below
+
+
+def _zero_map_rep(Q, dims):
+    mats = tuple(tuple((0,) * dims[a] for _ in range(dims[b])) for a, b in Q.arrows)
+    return QuiverRep(dims, mats, Q)
+
+
+class TestContainmentMasks:
+    @pytest.mark.parametrize(
+        "Q, max_dims",
+        [
+            (Quiver.a_n(2, p=2), (2, 2)),
+            (Quiver.a_n(3, p=2), (1, 2, 1)),
+            (Quiver.kronecker(2, 2), (2, 2)),
+        ],
+        ids=["A2", "A3", "K2"],
+    )
+    def test_every_rep_matches_pairwise_reference(self, Q, max_dims):
+        for E in enumerate_reps(Q, max_dims):
+            lat = SubobjectLattice(E, Q)
+            assert (lat.above, lat.below) == _reference_order(lat)
+
+    def test_zero_map_kronecker_reps(self):
+        Q = Quiver.kronecker(2, 2)
+        for dims in itertools.product(range(4), repeat=2):
+            lat = SubobjectLattice(_zero_map_rep(Q, dims), Q)
+            assert (lat.above, lat.below) == _reference_order(lat)
+        assert len(lat) == 16 * 16  # every pair of subspaces of F_2^3
+
+    def test_leq_reads_the_masks(self, a2, P):
+        lat = SubobjectLattice(P, a2)
+        for i, j in itertools.product(range(len(lat)), repeat=2):
+            assert lat.leq(i, j) == (i == j or bool(lat.above[i] >> j & 1))
 
 
 class TestEnumeration:
