@@ -50,7 +50,6 @@ from .k3 import (
 from .curve import (
     CurveCharge,
     CurveClass,
-    curve_discreteness,
     gl_orbit_decompose,
     hn_polygon,
     phase_order_check,

@@ -94,10 +94,9 @@ def parse_range(text: str) -> tuple[Fraction, Fraction]:
     return v, v
 
 
-_TERM_SPLIT = re.compile(r"(?=[+-])")
-
-
-def _split_terms(expr: str) -> list[str]:
+def _split_outside_brackets(expr: str, seps: str, keep_sep: bool) -> list[str]:
+    """Split at the characters of seps that lie outside [...]; a kept
+    separator starts the next piece."""
     out = []
     depth = 0
     cur = ""
@@ -106,9 +105,9 @@ def _split_terms(expr: str) -> list[str]:
             depth += 1
         elif ch == "]":
             depth -= 1
-        if ch in "+-" and depth == 0 and cur.strip():
+        if ch in seps and depth == 0 and cur.strip():
             out.append(cur)
-            cur = ch
+            cur = ch if keep_sep else ""
         else:
             cur += ch
     if cur.strip():
@@ -124,33 +123,17 @@ def parse_path_expr(expr: str, rank: int, variables=("t", "u")) -> dict:
     parts = {None: zero, **{v: zero for v in variables}}
     if expr in ("0", ""):
         return parts
-    for term in _split_terms(expr):
+    for term in _split_outside_brackets(expr, "+-", keep_sep=True):
         term = term.replace(" ", "")
         sign = Fraction(1)
         while term and term[0] in "+-":
             if term[0] == "-":
                 sign = -sign
             term = term[1:]
-        # factor split at '*' outside brackets
-        factors = []
-        depth = 0
-        cur = ""
-        for ch in term:
-            if ch == "[":
-                depth += 1
-            if ch == "]":
-                depth -= 1
-            if ch == "*" and depth == 0:
-                factors.append(cur)
-                cur = ""
-            else:
-                cur += ch
-        if cur:
-            factors.append(cur)
         coef = sign
         var = None
         basis = None
-        for f in factors:
+        for f in _split_outside_brackets(term, "*", keep_sep=False):
             if f in variables:
                 if var is not None:
                     raise InputError(f"term {term!r} is not affine")
@@ -261,6 +244,29 @@ def _write(path, content: str):
             fh.write(content)
 
 
+def _box_bound(args) -> int:
+    """--bound of a k3 command, else STABKIT_BOUND, else the default."""
+    return args.bound if args.bound is not None else default_bound()
+
+
+def _charged_quiver(args):
+    Q, zc = load_quiver_config(args.config)
+    if zc is None:
+        raise InputError("quiver config has no charge")
+    return Q, zc
+
+
+def _vertex_bound(args, Q: Quiver) -> tuple:
+    """--bound of a quiver sweep, else 2 at every vertex."""
+    return parse_bound_pair(args.bound) if args.bound else (2,) * Q.n
+
+
+def _mukai_charge(args, lat: NSLattice) -> ComplexMukaiVector:
+    return ComplexMukaiVector(
+        parse_mukai_vector(args.re, lat.rank), parse_mukai_vector(args.im, lat.rank)
+    )
+
+
 # ---------------------------------------------------------------------------
 # k3 commands
 
@@ -270,7 +276,7 @@ def cmd_k3_scan(args) -> int:
     b_parts = parse_path_expr(args.B, lat.rank)
     w_parts = parse_path_expr(args.omega, lat.rank)
     t0, t1 = parse_range(args.t)
-    bound = args.bound if args.bound is not None else default_bound()
+    bound = _box_bound(args)
     box = DeltaBox.cube(bound)
     note = f"stabkit k3 scan B=({args.B}) omega=({args.omega}) t={args.t} bound={bound}"
     if args.u is not None:
@@ -312,8 +318,7 @@ def _charge_at(args, lat) -> K3CentralCharge:
 def cmd_k3_guard(args) -> int:
     lat = load_lattice(args.lattice)
     zc = _charge_at(args, lat)
-    bound = args.bound if args.bound is not None else default_bound()
-    res = spherical_guard(zc, DeltaBox.cube(bound))
+    res = spherical_guard(zc, DeltaBox.cube(_box_bound(args)))
     if res.ok:
         print(f"ok (truncated={str(res.truncated).lower()})")
         return 0
@@ -324,9 +329,8 @@ def cmd_k3_guard(args) -> int:
 def cmd_k3_heart_check(args) -> int:
     lat = load_lattice(args.lattice)
     zc = _charge_at(args, lat)
-    bound = args.bound if args.bound is not None else default_bound()
     try:
-        rep = heart_image_check(zc, DeltaBox.cube(bound))
+        rep = heart_image_check(zc, DeltaBox.cube(_box_bound(args)))
     except GuardViolation as exc:
         print(f"guard violation: {exc}")
         return 1
@@ -338,9 +342,7 @@ def cmd_k3_heart_check(args) -> int:
 
 def cmd_k3_normalize(args) -> int:
     lat = load_lattice(args.lattice)
-    om = ComplexMukaiVector(
-        parse_mukai_vector(args.re, lat.rank), parse_mukai_vector(args.im, lat.rank)
-    )
+    om = _mukai_charge(args, lat)
     try:
         nf = normalize_to_exp_form(om, lat)
     except InputError as exc:
@@ -360,9 +362,7 @@ def cmd_k3_normalize(args) -> int:
 
 
 def cmd_quiver_hn(args) -> int:
-    Q, zc = load_quiver_config(args.config)
-    if zc is None:
-        raise InputError("quiver config has no charge")
+    Q, zc = _charged_quiver(args)
     E = parse_rep(args.rep, Q)
     hn = hn_filtration(E, zc, Q)
     sys.stdout.write(report.hn_text(hn, zc))
@@ -370,9 +370,7 @@ def cmd_quiver_hn(args) -> int:
 
 
 def cmd_quiver_jh(args) -> int:
-    Q, zc = load_quiver_config(args.config)
-    if zc is None:
-        raise InputError("quiver config has no charge")
+    Q, zc = _charged_quiver(args)
     E = parse_rep(args.rep, Q)
     verdict = is_semistable(E, zc, Q)
     if not verdict.is_semistable():
@@ -385,10 +383,8 @@ def cmd_quiver_jh(args) -> int:
 
 
 def cmd_quiver_check(args) -> int:
-    Q, zc = load_quiver_config(args.config)
-    if zc is None:
-        raise InputError("quiver config has no charge")
-    bound = parse_bound_pair(args.bound) if args.bound else (2,) * Q.n
+    Q, zc = _charged_quiver(args)
+    bound = _vertex_bound(args, Q)
     if args.suite == "gp":
         rep = hom_principles_check(zc, Q, bound)
         data = {"suite": "gp", "ok": rep.ok, "checked": rep.checked_pairs,
@@ -402,8 +398,6 @@ def cmd_quiver_check(args) -> int:
         rep = local_finiteness_probe(zc, Q, eta, bound)
         data = {
             "suite": "local-finiteness",
-            "ok": rep.ok,
-            "rational_charge": rep.rational_charge,
             "chain_bound": rep.chain_bound,
             "slices": [list(s) for s in rep.slices],
         }
@@ -411,14 +405,12 @@ def cmd_quiver_check(args) -> int:
         raise InputError(f"unknown suite {args.suite!r}")
     out = json.dumps(data, indent=2, sort_keys=True) + "\n"
     _write(args.json, out) if args.json else sys.stdout.write(out)
-    return 0 if data["ok"] else 1
+    return 0 if data.get("ok", True) else 1
 
 
 def cmd_quiver_deform(args) -> int:
-    Q, zc = load_quiver_config(args.config)
-    if zc is None:
-        raise InputError("quiver config has no charge")
-    bound = parse_bound_pair(args.bound) if args.bound else (2,) * Q.n
+    Q, zc = _charged_quiver(args)
+    bound = _vertex_bound(args, Q)
     eps = parse_rational(args.eps)
     if args.rotate is not None:
         wc = zc.rotated(parse_rational(args.rotate))
@@ -449,7 +441,7 @@ def cmd_quiver_deform(args) -> int:
 
 def cmd_quiver_tilt(args) -> int:
     Q, _ = load_quiver_config(args.config)
-    bound = parse_bound_pair(args.bound) if args.bound else (2,) * Q.n
+    bound = _vertex_bound(args, Q)
     pred = parse_torsion_predicate(args.torsion)
     rep = tilt_heart_check(pred, Q, bound)
     if rep.ok:
@@ -518,9 +510,7 @@ def cmd_group_act(args) -> int:
         print("m =", [[frac_str(x) for x in row] for row in out.m])
         return 0
     lat = load_lattice(args.lattice)
-    om = ComplexMukaiVector(
-        parse_mukai_vector(args.re, lat.rank), parse_mukai_vector(args.im, lat.rank)
-    )
+    om = _mukai_charge(args, lat)
     out = act_on_charge(g, om)
     print("re =", out.re, " im =", out.im)
     return 0
@@ -530,9 +520,7 @@ def cmd_group_commute(args) -> int:
     lat = load_lattice(args.lattice)
     images = parse_iso(args.iso, lat)
     g = _element_from(args.g)
-    om = ComplexMukaiVector(
-        parse_mukai_vector(args.re, lat.rank), parse_mukai_vector(args.im, lat.rank)
-    )
+    om = _mukai_charge(args, lat)
     ok = commute_check(images, g, om, lat)
     print("commute" if ok else "do not commute")
     return 0 if ok else 1
@@ -549,33 +537,32 @@ def build_parser() -> argparse.ArgumentParser:
     k3 = sub.add_parser("k3", help="Mukai-lattice stability checks and scans")
     k3s = k3.add_subparsers(dest="command", required=True)
 
-    scan = k3s.add_parser("scan", help="wall scan along a (B, omega) path")
-    scan.add_argument("--lattice", required=True)
-    scan.add_argument("--B", required=True)
-    scan.add_argument("--omega", required=True)
-    scan.add_argument("--t", required=True, help="range a/b..c/d")
+    def k3_path_command(name, help, func, t_range=False):
+        """A k3 subcommand on a (B, omega) path, at a point --t or over a
+        range --t; --bound sizes the class box."""
+        cmd = k3s.add_parser(name, help=help)
+        for a in ("--lattice", "--B", "--omega"):
+            cmd.add_argument(a, required=True)
+        t_help = "range a/b..c/d" if t_range else "point on the path (default 0)"
+        cmd.add_argument("--t", required=t_range, help=t_help)
+        cmd.add_argument("--bound", type=int)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    scan = k3_path_command(
+        "scan", "wall scan along a (B, omega) path", cmd_k3_scan, t_range=True
+    )
     scan.add_argument("--u", help="second parameter range (2-parameter plot)")
-    scan.add_argument("--bound", type=int)
     scan.add_argument("--k-bound", type=int, default=8)
     scan.add_argument("-o", "--output", default="-")
     scan.add_argument("--json")
     scan.add_argument("--svg")
-    scan.set_defaults(func=cmd_k3_scan)
 
-    guard = k3s.add_parser("guard", help="spherical-class positivity guard")
-    for a in ("--lattice", "--B", "--omega"):
-        guard.add_argument(a, required=True)
-    guard.add_argument("--t")
-    guard.add_argument("--bound", type=int)
-    guard.set_defaults(func=cmd_k3_guard)
-
-    hc = k3s.add_parser("heart-check", help="positivity sweep over a class box")
-    for a in ("--lattice", "--B", "--omega"):
-        hc.add_argument(a, required=True)
-    hc.add_argument("--t")
-    hc.add_argument("--bound", type=int)
+    k3_path_command("guard", "spherical-class positivity guard", cmd_k3_guard)
+    hc = k3_path_command(
+        "heart-check", "positivity sweep over a class box", cmd_k3_heart_check
+    )
     hc.add_argument("--json")
-    hc.set_defaults(func=cmd_k3_heart_check)
 
     nz = k3s.add_parser("normalize", help="bring a charge vector to exp form")
     nz.add_argument("--lattice", required=True)
@@ -587,37 +574,34 @@ def build_parser() -> argparse.ArgumentParser:
     qv = sub.add_parser("quiver", help="finite-length heart computations")
     qvs = qv.add_subparsers(dest="command", required=True)
 
-    hn = qvs.add_parser("hn", help="Harder-Narasimhan filtration of a rep")
-    hn.add_argument("--config", required=True)
+    def quiver_command(name, help, func):
+        """A quiver subcommand on the quiver and charge of --config."""
+        cmd = qvs.add_parser(name, help=help)
+        cmd.add_argument("--config", required=True)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    hn = quiver_command("hn", "Harder-Narasimhan filtration of a rep", cmd_quiver_hn)
     hn.add_argument("--rep", required=True, help='dims=[..];f=[[..]]')
-    hn.set_defaults(func=cmd_quiver_hn)
 
-    jh = qvs.add_parser("jh", help="stable factors of a semistable rep")
-    jh.add_argument("--config", required=True)
+    jh = quiver_command("jh", "stable factors of a semistable rep", cmd_quiver_jh)
     jh.add_argument("--rep", required=True)
-    jh.set_defaults(func=cmd_quiver_jh)
 
-    check = qvs.add_parser("check", help="exhaustive property sweeps")
-    check.add_argument("--config", required=True)
+    check = quiver_command("check", "exhaustive property sweeps", cmd_quiver_check)
     check.add_argument("--suite", required=True, choices=["gp", "slicing", "local-finiteness"])
     check.add_argument("--bound", help="per-vertex dims, e.g. 2,2")
     check.add_argument("--eta")
     check.add_argument("--json")
-    check.set_defaults(func=cmd_quiver_check)
 
-    deform = qvs.add_parser("deform", help="norm/distance deformation check")
-    deform.add_argument("--config", required=True)
+    deform = quiver_command("deform", "norm/distance deformation check", cmd_quiver_deform)
     deform.add_argument("--eps", required=True)
     deform.add_argument("--bound")
     deform.add_argument("--rotate")
     deform.add_argument("--perturb", help="'i:re,im;j:re,im'")
-    deform.set_defaults(func=cmd_quiver_deform)
 
-    tilt = qvs.add_parser("tilt", help="torsion pair and tilt verification")
-    tilt.add_argument("--config", required=True)
+    tilt = quiver_command("tilt", "torsion pair and tilt verification", cmd_quiver_tilt)
     tilt.add_argument("--torsion", required=True, help="all | none | d<i>=0")
     tilt.add_argument("--bound")
-    tilt.set_defaults(func=cmd_quiver_tilt)
 
     cv = sub.add_parser("curve", help="rank/degree lattice stability")
     cvs = cv.add_subparsers(dest="command", required=True)

@@ -171,12 +171,3 @@ def hn_polygon(parts: Sequence[CurveClass], zc: CurveCharge) -> HNPolygon:
     for _, z, _ in merged:
         vertices.append(vertices[-1] + z)
     return HNPolygon(tuple(vertices), tuple(merged))
-
-
-def curve_discreteness(matrix_rows) -> bool:
-    """True iff the charge matrix is exactly rational, so the image of
-    Z lies in a lattice."""
-    for row in matrix_rows:
-        for x in row:
-            as_fraction(x)  # raises TypeError on non-exact input
-    return True

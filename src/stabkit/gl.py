@@ -26,6 +26,7 @@ from .curve import CurveCharge
 from .lattice import (
     ComplexMukaiVector,
     InputError,
+    InvariantError,
     MukaiVector,
     NSLattice,
     apply_isometry,
@@ -202,7 +203,8 @@ def inverse(g: GLTildeElement) -> GLTildeElement:
     a = PhaseValue((minv[0][0], minv[1][0]))  # direction of M^{-1}.(1,0)
     # pick the even shift making f(f^{-1}(0)) = 0
     val = f_eval(g, a)
-    assert val.is_rational() and val.as_fraction() % 2 == 0
+    if not (val.is_rational() and val.as_fraction() % 2 == 0):
+        raise InvariantError(f"f(f^-1(0)) shift {val} is not an even integer")
     f0 = a - val.as_fraction()
     return GLTildeElement(m=minv, f0=f0)
 

@@ -177,7 +177,8 @@ def _max_destabilizer(lat: SubobjectLattice, values: list, current: int) -> int:
             c == 0 and lat.entries[j].total_dim() > lat.entries[best].total_dim()
         ):
             best, best_cls = j, cv
-    assert best is not None
+    if best is None:
+        raise InvariantError("no subobject above a proper subobject")
     return best
 
 
@@ -335,7 +336,8 @@ def jh_filtration(
             for nxt in _bits(lat.above[current])
             if _cross(_cls(values, current, nxt), top_val) == 0
         ]
-        assert same_phase, "semistable object must refine"
+        if not same_phase:
+            raise InvariantError("a semistable object must refine to stable factors")
         best = min(same_phase, key=lambda i: lat.entries[i].total_dim())
         factors.append(lat.interval_quotient_class(current, best))
         current = best
@@ -429,6 +431,22 @@ class TorsionPairReport:
     detail: str = ""
 
 
+def _torsion_classes(
+    t_predicate: Callable[[QuiverRep], bool],
+    Q: Quiver,
+    max_dims: Sequence[int],
+    total_bound: int,
+) -> tuple:
+    """The bounded nonzero reps, those in T, and membership in T-perp."""
+    reps = list(enumerate_reps(Q, max_dims, total_bound))
+    t_list = [E for E in reps if t_predicate(E)]
+
+    def in_f(X: QuiverRep) -> bool:
+        return X.is_zero() or all(hom_space(T, X, Q)[0] == 0 for T in t_list)
+
+    return reps, t_list, in_f
+
+
 def torsion_pair_verify(
     t_predicate: Callable[[QuiverRep], bool],
     Q: Quiver,
@@ -442,24 +460,10 @@ def torsion_pair_verify(
     The predicate must be isomorphism-closed (caller's duty; spot checked
     on conjugated representations).
     """
-    reps = list(enumerate_reps(Q, max_dims, total_bound))
-    t_list = [E for E in reps if t_predicate(E)]
-
-    def in_f(X: QuiverRep) -> bool:
-        if X.is_zero():
-            return True
-        for T in t_list:
-            if T.is_zero():
-                continue
-            if hom_space(T, X, Q)[0] != 0:
-                return False
-        return True
-
+    reps, t_list, in_f = _torsion_classes(t_predicate, Q, max_dims, total_bound)
     # axiom i is built into the definition of F = T-perp; spot-check the
     # predicate's iso-closure by permuting coordinates via base change
     for T in t_list[:4]:
-        if T.is_zero():
-            continue
         conj = _conjugate_rep(T, Q)
         if not t_predicate(conj):
             return TorsionPairReport(
@@ -467,8 +471,6 @@ def torsion_pair_verify(
             )
 
     for E in reps:
-        if E.is_zero():
-            continue
         lat = SubobjectLattice(E, Q, total_bound)
         found = False
         for i in range(len(lat.entries)):
@@ -550,20 +552,13 @@ def tilt_heart_check(
     pair = torsion_pair_verify(t_predicate, Q, max_dims, total_bound)
     if not pair.ok:
         return TiltReport(False, failures=((pair.axiom, pair.witness),))
-    reps = [E for E in enumerate_reps(Q, max_dims, total_bound)]
-    t_list = [E for E in reps if t_predicate(E) and not E.is_zero()]
-    f_list = []
-    for E in reps:
-        if E.is_zero():
-            continue
-        ok = all(hom_space(T, E, Q)[0] == 0 for T in t_list)
-        if ok:
-            f_list.append(E)
+    reps, t_list, in_f = _torsion_classes(t_predicate, Q, max_dims, total_bound)
+    f_list = [E for E in reps if in_f(E)]
     failures = []
     for T in t_list:
         for F in f_list:
-            h = hom_space(T, F, Q)[0]
-            if h - ext1_dim(T, F, Q) != euler_pairing(T.dims, F.dims, Q):
+            # Hom(T, F) = 0 by the definition of F
+            if -ext1_dim(T, F, Q) != euler_pairing(T.dims, F.dims, Q):
                 failures.append(("euler-consistency", (T.dims, F.dims)))
     degenerate = None
     if not f_list:
@@ -705,18 +700,7 @@ def deformation_test(
         raise InputError("deformation checks need eps < 1/2")
     if wc.rot == zc.rot:
         diff = tuple(w - z for w, z in zip(wc.z, zc.z))
-        best = Fraction(0)
-        for E in enumerate_reps(Q, max_dims, total_bound):
-            if not is_semistable(E, zc, Q, total_bound).is_semistable():
-                continue
-            u = RatComplex(0, 0)
-            for d, uv in zip(E.dims, diff):
-                if d:
-                    u = u + uv.scale(d)
-            ratio = u.abs2() / zc.abs2(E.dims)
-            if ratio > best:
-                best = ratio
-        norm = NormValue(best)
+        norm = stability_norm(diff, zc, Q, max_dims, total_bound)
         within = norm.less_than_sin_pi(eps)
     elif wc.z == zc.z:
         delta = wc.rot - zc.rot
@@ -744,6 +728,23 @@ def deformation_test(
 # exhaustive principle sweeps
 
 
+def _hom_vanishing(semis: list, Q: Quiver) -> tuple[int, list]:
+    """Hom(E, F) = 0 for every pair of semistables with phi(E) > phi(F).
+
+    semis holds (E, integer charge value of E) under one charge, so the
+    phase order is the cross product of the values.  Returns (pairs
+    checked, [(E.dims, F.dims), ...] for the pairs that fail).
+    """
+    checked = 0
+    failures = []
+    for (E, ve), (F, vf) in itertools.product(semis, semis):
+        if _cross(vf, ve) > 0:  # phi(E) > phi(F)
+            checked += 1
+            if hom_space(E, F, Q)[0] != 0:
+                failures.append((E.dims, F.dims))
+    return checked, failures
+
+
 def slicing_hom_vanishing(
     zc: HeartCharge,
     Q: Quiver,
@@ -754,16 +755,10 @@ def slicing_hom_vanishing(
     bounded set; returns (pairs checked, failures)."""
     semis = []
     for E in enumerate_reps(Q, max_dims, total_bound):
-        v = is_semistable(E, zc, Q, total_bound)
+        lat, values, v = _lattice_verdict(E, zc, Q, total_bound)
         if v.is_semistable():
-            semis.append((E, v.phase))
-    checked = 0
-    failures = []
-    for (E, pe), (F, pf) in itertools.product(semis, semis):
-        if (pe - pf).sign() > 0:
-            checked += 1
-            if hom_space(E, F, Q)[0] != 0:
-                failures.append((E.dims, F.dims))
+            semis.append((E, values[lat.top]))
+    checked, failures = _hom_vanishing(semis, Q)
     return checked, tuple(failures)
 
 
@@ -784,45 +779,40 @@ def hom_principles_check(
     consequences of stability:
 
     i) no maps from higher to strictly lower phase between semistables;
-    ii) maps between stables are zero or invertible;
+    ii) maps between stables of the same phase are zero or invertible;
     iii) endomorphisms of a stable object form a division ring;
     iv) every unstable object splits against its maximal destabilizer
         with vanishing Hom.
     """
-    reps = []
+    reps = []  # (E, verdict, integer charge value of E)
     unsplit = []  # unstable E that do not split against their maximal destabilizer
     for E in enumerate_reps(Q, max_dims, total_bound):
         lat, values, v = _lattice_verdict(E, zc, Q, total_bound)
-        reps.append((E, v))
+        reps.append((E, v, values[lat.top]))
         if v.status == "unstable":
             first = _hn_chain(lat, values)[1]
             A, B = lat.sub_rep(first), lat.quotient_rep(first)
             if A.is_zero() or B.is_zero() or hom_space(A, B, Q)[0] != 0:
                 unsplit.append(E.dims)
-    failures = []
-    checked = 0
-    semis = [(E, v) for E, v in reps if v.is_semistable()]
-    stables = [(E, v) for E, v in reps if v.status == "stable"]
-    for (E, ve), (F, vf) in itertools.product(semis, semis):
-        if (ve.phase - vf.phase).sign() > 0:
-            checked += 1
-            if hom_space(E, F, Q)[0] != 0:
-                failures.append(("hom-vanishing", E.dims, F.dims))
+    semis = [(E, val) for E, v, val in reps if v.is_semistable()]
+    stables = [(E, val) for E, v, val in reps if v.status == "stable"]
+    checked, vanishing = _hom_vanishing(semis, Q)
+    failures = [("hom-vanishing", *pair) for pair in vanishing]
     for (E, ve), (F, vf) in itertools.product(stables, stables):
-        if (ve.phase - vf.phase).sign() < 0:
-            continue  # maps towards higher phase are unconstrained
+        if _cross(ve, vf) != 0:
+            continue  # towards higher phase unconstrained, towards lower by i)
         hdim, basis = hom_space(E, F, Q)
         if hdim == 0:
             continue
         checked += 1
         if not _span_contains_iso(basis, Q):
             failures.append(("stable-hom-not-iso", E.dims, F.dims))
-    for E, v in stables:
+    for E, _ in stables:
         hdim, basis = hom_space(E, E, Q)
         checked += 1
         if not _all_nonzero_invertible(basis, Q):
             failures.append(("endo-not-division", E.dims, None))
-    checked += sum(1 for _, v in reps if v.status == "unstable")
+    checked += sum(1 for _, v, _ in reps if v.status == "unstable")
     failures.extend(("unstable-decomposition", dims, None) for dims in unsplit)
     return PrinciplesReport(not failures, checked, tuple(failures))
 
@@ -877,10 +867,8 @@ def _combine(basis, coeffs, p):
 @dataclass(frozen=True)
 class LocalFinitenessReport:
     eta: Fraction
-    rational_charge: bool
     slices: tuple  # ((phase float, object count, max chain length), ...)
     chain_bound: int
-    ok: bool
 
 
 def local_finiteness_probe(
@@ -894,8 +882,8 @@ def local_finiteness_probe(
 
     In this category every chain of proper subobjects strictly increases
     the total dimension, so chains inside any slice are bounded by it;
-    the probe verifies that bound on the actual lattices and records the
-    discreteness of the (always rational) charge image.
+    the probe reports each slice's object count and its largest total
+    dimension next to the bound of the whole set.
     """
     eta = as_fraction(eta)
     if eta <= 0:
@@ -910,8 +898,6 @@ def local_finiteness_probe(
         ):
             phases.append(top)
     slices = []
-    ok = True
-    bound = sum(int(x) for x in max_dims)
     for phi in phases:
         members = [
             E
@@ -921,13 +907,9 @@ def local_finiteness_probe(
         # subobject chains are graded by total dimension, so the longest
         # chain inside the slice has at most total_dim proper steps
         max_chain = max((E.total_dim() for E in members), default=0)
-        if max_chain > bound:
-            ok = False
         slices.append((float(phi), len(members), max_chain))
     return LocalFinitenessReport(
         eta=eta,
-        rational_charge=True,
         slices=tuple(slices),
-        chain_bound=bound,
-        ok=ok,
+        chain_bound=sum(int(x) for x in max_dims),
     )

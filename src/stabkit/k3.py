@@ -70,7 +70,8 @@ class K3CentralCharge:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "Om", exp_class(B, omega, lat))
         pt = central_charge(self, point_class(lat))
-        assert pt.re == -1 and pt.im == 0, "point class must map to -1"
+        if pt.re != -1 or pt.im != 0:
+            raise InvariantError(f"the point class maps to {pt}, not -1")
 
     @property
     def beta(self) -> Fraction:
@@ -142,7 +143,8 @@ def spherical_guard(zc: K3CentralCharge, bounds: DeltaBox) -> GuardResult:
     complete = zc.lat.rank == 1 and zc.beta == 0 and bounds.r_max >= 1
     for delta in _guard_candidates(zc, bounds):
         z = central_charge(zc, delta)
-        assert z.im == 0
+        if z.im != 0:
+            raise InvariantError(f"guard candidate {delta} has Z = {z} off the real line")
         if z.re <= 0:
             return GuardResult(False, witness=delta, witness_value=z, truncated=False)
     return GuardResult(True, truncated=not complete)

@@ -550,7 +550,8 @@ def orientation_component(Om: ComplexMukaiVector, lat: NSLattice) -> str:
     det = c1[0] * c2[1] - c1[1] * c2[0]
     # between two positive planes in signature (2, rho) the projection is
     # an isomorphism; a vanishing determinant would be a logic error
-    assert det != 0, "degenerate projection between positive planes"
+    if det == 0:
+        raise InvariantError("degenerate projection between positive planes")
     return "plus" if det > 0 else "minus"
 
 

@@ -7,7 +7,6 @@ from stabkit.curve import (
     CurveCharge,
     CurveClass,
     NotInOrbit,
-    curve_discreteness,
     gl_orbit_decompose,
     hn_polygon,
     phase_order_check,
@@ -153,11 +152,3 @@ class TestHNPolygon:
     def test_zero_charge_rejected(self):
         with pytest.raises(InputError):
             hn_polygon([CurveClass(0, 0)], CurveCharge.standard())
-
-
-class TestDiscreteness:
-    def test_standard(self):
-        assert curve_discreteness(CurveCharge.standard().m)
-
-    def test_rational_entries(self):
-        assert curve_discreteness(((F(1, 3), 0), (0, 1)))

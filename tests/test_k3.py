@@ -1,5 +1,9 @@
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +131,31 @@ class TestSphericalGuard:
         zc = K3CentralCharge(lat1, [F(3, 5)], [1])
         res = spherical_guard(zc, DeltaBox.cube(2))
         assert res.truncated or not res.ok  # beta != 0: never claims completeness
+
+    def test_off_line_candidate_raises_under_python_O(self):
+        # (0, h, 0) has Z = 4i at omega = 2h: not a candidate of the reduction
+        code = textwrap.dedent(
+            """
+            from fractions import Fraction
+            from stabkit import k3
+            from stabkit.lattice import DeltaBox, InvariantError, MukaiVector, NSLattice
+            k3._guard_candidates = lambda zc, bounds: [MukaiVector(0, (1,), 0)]
+            zc = k3.K3CentralCharge(NSLattice([[2]], [1]), [Fraction(0)], [Fraction(2)])
+            try:
+                k3.spherical_guard(zc, DeltaBox.cube(4))
+            except InvariantError:
+                print("raised")
+            """
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src},
+            check=True,
+        ).stdout
+        assert out.strip() == "raised"
 
 
 class TestDiscreteness:
