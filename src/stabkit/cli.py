@@ -237,11 +237,25 @@ def parse_bound_pair(text: str) -> tuple:
 
 
 def _write(path, content: str):
+    """Write content to stdout ('-' or None) or to a file.  A regular file
+    is written under a temporary name beside it and then moved over the
+    target, so a failed write never leaves the target half-written."""
     if path == "-" or path is None:
         sys.stdout.write(content)
-    else:
-        with open(path, "w") as fh:
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:  # a device or a pipe cannot be replaced
             fh.write(content)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _box_bound(args) -> int:

@@ -36,6 +36,12 @@ Rational = Union[int, Fraction]
 _HALF = Fraction(1, 2)
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a defect of the program, not a verdict
+    about the input.  Raised instead of ``assert``, which ``python -O``
+    strips."""
+
+
 class ExactnessError(ArithmeticError):
     """Raised when a comparison would require leaving the supported
     exact number system (for example cot(pi*q) at an unsupported
@@ -452,7 +458,8 @@ def tan_pi(q) -> Quad:
 
 def _atan_bounds_small(t: Fraction, n: int) -> tuple[Fraction, Fraction]:
     """Bracket atan(t) for 0 <= t <= 1/2 by alternating partial sums."""
-    assert 0 <= t <= _HALF
+    if not 0 <= t <= _HALF:
+        raise InvariantError(f"atan series argument {t} outside [0, 1/2]")
     s = Fraction(0)
     power = t
     t2 = t * t

@@ -431,22 +431,6 @@ class TorsionPairReport:
     detail: str = ""
 
 
-def _torsion_classes(
-    t_predicate: Callable[[QuiverRep], bool],
-    Q: Quiver,
-    max_dims: Sequence[int],
-    total_bound: int,
-) -> tuple:
-    """The bounded nonzero reps, those in T, and membership in T-perp."""
-    reps = list(enumerate_reps(Q, max_dims, total_bound))
-    t_list = [E for E in reps if t_predicate(E)]
-
-    def in_f(X: QuiverRep) -> bool:
-        return X.is_zero() or all(hom_space(T, X, Q)[0] == 0 for T in t_list)
-
-    return reps, t_list, in_f
-
-
 def torsion_pair_verify(
     t_predicate: Callable[[QuiverRep], bool],
     Q: Quiver,
@@ -460,15 +444,34 @@ def torsion_pair_verify(
     The predicate must be isomorphism-closed (caller's duty; spot checked
     on conjugated representations).
     """
-    reps, t_list, in_f = _torsion_classes(t_predicate, Q, max_dims, total_bound)
+    return _torsion_pair(t_predicate, Q, max_dims, total_bound)[0]
+
+
+def _torsion_pair(
+    t_predicate: Callable[[QuiverRep], bool],
+    Q: Quiver,
+    max_dims: Sequence[int],
+    total_bound: int,
+) -> tuple:
+    """The torsion-pair report and the classes it was decided on:
+    (reps, t_list, in_f), the bounded nonzero reps, those in T, and
+    membership in T-perp."""
+    reps = list(enumerate_reps(Q, max_dims, total_bound))
+    t_list = [E for E in reps if t_predicate(E)]
+
+    def in_f(X: QuiverRep) -> bool:
+        return X.is_zero() or all(hom_space(T, X, Q)[0] == 0 for T in t_list)
+
+    classes = reps, t_list, in_f
     # axiom i is built into the definition of F = T-perp; spot-check the
     # predicate's iso-closure by permuting coordinates via base change
     for T in t_list[:4]:
         conj = _conjugate_rep(T, Q)
         if not t_predicate(conj):
-            return TorsionPairReport(
+            report = TorsionPairReport(
                 False, T, "iso-closure", "predicate is not isomorphism closed"
             )
+            return report, classes
 
     for E in reps:
         lat = SubobjectLattice(E, Q, total_bound)
@@ -482,10 +485,11 @@ def torsion_pair_verify(
                 found = True
                 break
         if not found:
-            return TorsionPairReport(
+            report = TorsionPairReport(
                 False, E, "decomposition", f"no T-sub with T-perp quotient for dims {E.dims}"
             )
-    return TorsionPairReport(True)
+            return report, classes
+    return TorsionPairReport(True), classes
 
 
 def _conjugate_rep(E: QuiverRep, Q: Quiver) -> QuiverRep:
@@ -549,10 +553,9 @@ def tilt_heart_check(
     for consistency with the Euler form.  The degenerate identities
     (F = 0 gives back the original heart, T = 0 its shift) are reported.
     """
-    pair = torsion_pair_verify(t_predicate, Q, max_dims, total_bound)
+    pair, (reps, t_list, in_f) = _torsion_pair(t_predicate, Q, max_dims, total_bound)
     if not pair.ok:
         return TiltReport(False, failures=((pair.axiom, pair.witness),))
-    reps, t_list, in_f = _torsion_classes(t_predicate, Q, max_dims, total_bound)
     f_list = [E for E in reps if in_f(E)]
     failures = []
     for T in t_list:
@@ -867,7 +870,7 @@ def _combine(basis, coeffs, p):
 @dataclass(frozen=True)
 class LocalFinitenessReport:
     eta: Fraction
-    slices: tuple  # ((phase float, object count, max chain length), ...)
+    slices: tuple  # ((phase float, object count, largest member total dim), ...)
     chain_bound: int
 
 
@@ -881,9 +884,11 @@ def local_finiteness_probe(
     """Document finiteness of the thickened slices on the bounded set.
 
     In this category every chain of proper subobjects strictly increases
-    the total dimension, so chains inside any slice are bounded by it;
-    the probe reports each slice's object count and its largest total
-    dimension next to the bound of the whole set.
+    the total dimension, so a chain of subobjects of a member has at most
+    its total dimension many steps.  The probe reports each slice's object
+    count and the largest total dimension among its members, a bound on
+    every chain in the slice, not a measured chain length, next to the
+    bound of the whole set.
     """
     eta = as_fraction(eta)
     if eta <= 0:
@@ -904,10 +909,8 @@ def local_finiteness_probe(
             for E, top, bot in objects
             if (top - (phi + eta)).sign() < 0 and (bot - (phi - eta)).sign() > 0
         ]
-        # subobject chains are graded by total dimension, so the longest
-        # chain inside the slice has at most total_dim proper steps
-        max_chain = max((E.total_dim() for E in members), default=0)
-        slices.append((float(phi), len(members), max_chain))
+        max_dim = max((E.total_dim() for E in members), default=0)
+        slices.append((float(phi), len(members), max_dim))
     return LocalFinitenessReport(
         eta=eta,
         slices=tuple(slices),

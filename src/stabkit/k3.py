@@ -13,6 +13,7 @@ are kept exactly as quadratic surds, never floated.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,13 +80,9 @@ class K3CentralCharge:
 
 
 def central_charge(zc: K3CentralCharge, v: MukaiVector) -> RatComplex:
-    """Z(v), exactly: Re = B.l - s - r (B^2 - omega^2)/2, Im = omega.l - r (B.omega)."""
+    """Z(v) = <exp(B + i omega), v>, exactly."""
     lat = zc.lat
-    b2 = lat.ns_dot(zc.B, zc.B)
-    w2 = lat.ns_dot(zc.omega, zc.omega)
-    re = lat.ns_dot(zc.B, v.l) - v.s - v.r * Fraction(b2 - w2, 1) / 2
-    im = lat.ns_dot(zc.omega, v.l) - v.r * lat.ns_dot(zc.B, zc.omega)
-    return RatComplex(re, im)
+    return RatComplex(mukai_pairing(zc.Om.re, v, lat), mukai_pairing(zc.Om.im, v, lat))
 
 
 def phase(z: RatComplex) -> PhaseValue:
@@ -120,8 +117,6 @@ def _guard_candidates(zc: K3CentralCharge, bounds: DeltaBox):
     square condition then solves s (which is therefore not box-limited)."""
     lat = zc.lat
     beta = zc.beta
-    import itertools
-
     l_range = range(-bounds.l_max, bounds.l_max + 1)
     for r in range(1, bounds.r_max + 1):
         for l in itertools.product(l_range, repeat=lat.rank):
@@ -223,8 +218,6 @@ def heart_image_check(zc: K3CentralCharge, bounds: DeltaBox) -> HeartImageReport
             f"stability function degenerates on {guard.witness} "
             f"(Z = {guard.witness_value})"
         )
-    import itertools
-
     lat = zc.lat
     violations = []
     checked = 0
@@ -451,17 +444,10 @@ class _Poly2:
         return sorted([lo, hi], key=float)
 
 
-def t_compare(a: TParam, b: TParam) -> int:
-    """Exact three-way comparison of wall parameters (Fraction or Quad)."""
-    qa = a if isinstance(a, Quad) else Quad(a)
-    qb = b if isinstance(b, Quad) else Quad(b)
-    return qa._cmp(qb)
-
-
-def _in_range(t, t0: Fraction, t1: Fraction) -> bool:
-    if isinstance(t, Quad):
-        return (t - t0).sign() >= 0 and (t - t1).sign() <= 0
-    return t0 <= t <= t1
+def _quadratic_coeffs(f0, f1, f_1) -> tuple:
+    """(c0, c1, c2) with c0 + c1 t + c2 t^2 equal to f0, f1, f_1 at t = 0, 1, -1."""
+    half = Fraction(1, 2)
+    return f0, (f1 - f_1).scale(half), (f1 + f_1).scale(half) - f0
 
 
 def wall_scan(
@@ -494,43 +480,35 @@ def wall_scan(
     walls: list[Wall] = []
     degenerate = []
 
-    b0, b1 = B_path.const, B_path.lin
-    w0, w1 = omega_path.const, omega_path.lin
-
-    def dot(u, v):
-        return as_fraction(lat.ns_dot(u, v))
+    # Omega_t = exp(B_t + i omega_t) is quadratic in t, so Z_t(d) = <Omega_t, d>
+    # is too, with coefficients <c_k, d>
+    om0, om1, om_1 = (exp_class(B_path.at(t), omega_path.at(t), lat) for t in (0, 1, -1))
+    re_coeffs = _quadratic_coeffs(om0.re, om1.re, om_1.re)
+    im_coeffs = _quadratic_coeffs(om0.im, om1.im, om_1.im)
 
     deltas = enumerate_delta(lat, bounds)
     for d in deltas:
         if d.r <= 0:
             continue
-        r, l, s = d.r, d.l, d.s
-        im_poly = _Poly2(
-            dot(w0, l) - r * dot(b0, w0),
-            dot(w1, l) - r * (dot(b0, w1) + dot(b1, w0)),
-            -r * dot(b1, w1),
-        )
-        re_poly = _Poly2(
-            dot(b0, l) - s - r * (dot(b0, b0) - dot(w0, w0)) / 2,
-            dot(b1, l) - r * (dot(b0, b1) - dot(w0, w1)),
-            -r * (dot(b1, b1) - dot(w1, w1)) / 2,
-        )
+        im_poly = _Poly2(*(mukai_pairing(c, d, lat) for c in im_coeffs))
+        re_poly = _Poly2(*(mukai_pairing(c, d, lat) for c in re_coeffs))
         if im_poly.is_zero():
             if re_poly.is_zero():
                 degenerate.append(d)
                 continue
-            candidates = re_poly.roots()
-            for t in candidates:
-                if _in_range(t, t0, t1):
+            for t in re_poly.roots():
+                if t0 <= t <= t1:
                     walls.append(Wall(t, d, "A"))
         else:
             for t in im_poly.roots():
-                if not _in_range(t, t0, t1):
-                    continue
-                val = re_poly(t)
-                nonpositive = val.sign() <= 0 if isinstance(val, Quad) else val <= 0
-                if nonpositive:
+                if t0 <= t <= t1 and re_poly(t) <= 0:
                     walls.append(Wall(t, d, "A"))
+
+    b0, b1 = B_path.const, B_path.lin
+    w0, w1 = omega_path.const, omega_path.lin
+
+    def dot(u, v):
+        return as_fraction(lat.ns_dot(u, v))
 
     skipped_k = []
     for C in lat.neg2_curves:
@@ -541,7 +519,7 @@ def wall_scan(
                 degenerate.append(MukaiVector(0, C, 0))
             continue
         t_star = -const / lin
-        if not _in_range(t_star, t0, t1):
+        if not t0 <= t_star <= t1:
             continue
         bc = dot(b0, C) + t_star * dot(b1, C)
         if bc.denominator != 1:
@@ -552,19 +530,9 @@ def wall_scan(
             continue
         walls.append(Wall(t_star, MukaiVector(0, C, k), "C", detail=(tuple(C), k)))
 
-    import functools
-
-    def wall_cmp(x: Wall, y: Wall) -> int:
-        c = t_compare(x.t, y.t)
-        if c:
-            return c
-        kx = (x.kind, x.witness.coords())
-        ky = (y.kind, y.witness.coords())
-        return (kx > ky) - (kx < ky)
-
     seen = set()
     unique = []
-    for w in sorted(walls, key=functools.cmp_to_key(wall_cmp)):
+    for w in sorted(walls, key=lambda w: (w.t, w.kind, w.witness.coords())):
         key = (repr(w.t), w.kind, w.witness.coords())
         if key not in seen:
             seen.add(key)

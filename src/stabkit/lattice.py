@@ -17,17 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import as_fraction, frac_str
+from .exact import InvariantError, as_fraction, frac_str
 
 
 class InputError(ValueError):
     """Invalid user input (dimension mismatch, bad invariants, ...)."""
-
-
-class InvariantError(RuntimeError):
-    """An internal invariant failed: a defect of the program, not a verdict
-    about the input.  Raised instead of ``assert``, which ``python -O``
-    strips."""
 
 
 def _halve(x):
@@ -92,24 +86,34 @@ def mat_det(m) -> Fraction:
     return det
 
 
+def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q and its pivot columns."""
+    mat = [[as_fraction(x) for x in row] for row in rows]
+    width = len(mat[0]) if mat else 0
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        if len(pivots) == len(mat):
+            break
+    return mat, pivots
+
+
 def mat_inv(m):
     n = len(m)
-    aug = [
-        [as_fraction(m[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise InputError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [aug[r][j] - f * aug[col][j] for j in range(2 * n)]
+    aug, pivots = _rref([list(m[i]) + [int(i == j) for j in range(n)] for i in range(n)])
+    if pivots != list(range(n)):
+        raise InputError("singular matrix")
     return [row[n:] for row in aug]
 
 
@@ -251,7 +255,7 @@ class NSLattice:
             raise InputError("ample_ref has wrong length")
         curves = tuple(tuple(as_fraction(x) for x in c) for c in neg2_curves)
         object.__setattr__(self, "rank", rho)
-        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "gram", tuple(tuple(int(x) for x in row) for row in gram))
         object.__setattr__(self, "ample_ref", ample_ref)
         object.__setattr__(self, "neg2_curves", curves)
         if self.ns_dot(ample_ref, ample_ref) <= 0:
@@ -287,7 +291,7 @@ class NSLattice:
         g[0][n - 1] = g[n - 1][0] = -1
         for i in range(self.rank):
             for j in range(self.rank):
-                g[1 + i][1 + j] = int(self.gram[i][j])
+                g[1 + i][1 + j] = self.gram[i][j]
         return g
 
     def ample_certificate(self, omega) -> "AmpleCertificate":
@@ -308,7 +312,7 @@ class NSLattice:
     def to_json_dict(self) -> dict:
         return {
             "rank": self.rank,
-            "gram": [[int(x) for x in row] for row in self.gram],
+            "gram": [list(row) for row in self.gram],
             "ample_ref": [frac_str(x) for x in self.ample_ref],
             "neg2_curves": [[int(x) for x in c] for c in self.neg2_curves],
         }
@@ -566,29 +570,9 @@ def perp_sublattice(Om: ComplexMukaiVector, lat: NSLattice) -> list[tuple]:
     """Primitive integral basis of {d in N : <d, re> = <d, im> = 0},
     via exact row reduction of the two pairing constraints."""
     n = lat.mukai_rank
-    rows = []
-    for part in (Om.re, Om.im):
-        rows.append(
-            [as_fraction(mukai_pairing(part, e, lat)) for e in basis_vectors(lat)]
-        )
-    mat = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [mat[i][j] - f * mat[r][j] for j in range(n)]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
+    mat, pivots = _rref(
+        [mukai_pairing(part, e, lat) for e in basis_vectors(lat)] for part in (Om.re, Om.im)
+    )
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:

@@ -1,9 +1,10 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
-from stabkit import heart
+from stabkit import cli, heart
 from stabkit.cli import main, parse_path_expr, parse_range, parse_rep
 from stabkit.lattice import InputError
 from stabkit.quiver import Quiver
@@ -50,6 +51,28 @@ def quiver_file(tmp_path):
         )
     )
     return str(path)
+
+
+class TestWrite:
+    def test_replaces_the_target(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+        cli._write(str(target), "new\n")
+        assert target.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_failed_write_leaves_target_and_no_temporary(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+        # a lone surrogate cannot be encoded: the write fails partway
+        with pytest.raises(UnicodeEncodeError):
+            cli._write(str(target), "new\n" * 1000 + "\ud800")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_writes_into_a_device(self):
+        # a device cannot be replaced by a renamed file: written in place
+        cli._write(os.devnull, "data\n")
 
 
 class TestParsers:

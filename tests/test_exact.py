@@ -1,5 +1,9 @@
 import math
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +215,33 @@ class TestSqrtSum:
     def test_abs_of(self):
         assert SqrtSum.abs_of(RatComplex(-1, 1)).as_single_sqrt() == 2
         assert float(SqrtSum.abs_of(RatComplex(3, 4))) == pytest.approx(5.0)
+
+
+def test_atan_argument_guard_raises_under_python_O():
+    # the series bracket is valid on [0, 1/2] only; the guard must
+    # survive -O, which strips asserts
+    code = textwrap.dedent(
+        """
+        from fractions import Fraction
+        from stabkit import exact
+        try:
+            exact._atan_bounds_small(Fraction(1), 8)
+        except exact.InvariantError:
+            print("raised")
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        check=True,
+    ).stdout
+    assert out.strip() == "raised"
+
+
+def test_invariant_error_is_reexported_by_lattice():
+    from stabkit import exact, lattice
+
+    assert lattice.InvariantError is exact.InvariantError

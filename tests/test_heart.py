@@ -317,6 +317,28 @@ class TestTilt:
         rep = tilt_heart_check(lambda E: E.dims[0] == 0, a2, (2, 2))
         assert rep.ok and rep.degenerate is None
 
+    def test_builds_the_torsion_pair_once(self, a2, monkeypatch):
+        # the tilt enumerates and classifies exactly as often as verifying
+        # the torsion pair alone does
+        counts = {"reps": 0, "predicate": 0}
+        enumerate_reps = heart.enumerate_reps
+
+        def counting_reps(*args, **kwargs):
+            counts["reps"] += 1
+            return enumerate_reps(*args, **kwargs)
+
+        def predicate(E):
+            counts["predicate"] += 1
+            return E.dims[0] == 0
+
+        monkeypatch.setattr(heart, "enumerate_reps", counting_reps)
+        assert torsion_pair_verify(predicate, a2, (2, 2)).ok
+        alone = dict(counts)
+        counts.update(reps=0, predicate=0)
+        assert tilt_heart_check(predicate, a2, (2, 2)).ok
+        assert alone["reps"] == 1
+        assert counts == alone
+
 
 class TestSlicingDistance:
     def test_zero(self, a2, z_std):
