@@ -7,26 +7,31 @@ torsion sides for slope-stable classes, the normalization of a general
 charge vector to exponential form, and exact wall scans along affine
 paths in (B, omega).
 
-Wall parameters are solved from rational quadratics; irrational roots
-are kept exactly as quadratic surds, never floated.
+Wall parameters are solved from integer quadratics (a scan clears its
+denominators once); irrational roots are kept exactly as quadratic
+surds, never floated.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .exact import PhaseValue, Quad, RatComplex, as_fraction, rational_sqrt
 from .lattice import (
     ComplexMukaiVector,
     DeltaBox,
+    DeltaList,
     InputError,
     InvariantError,
     MukaiVector,
     NSLattice,
+    basis_vectors,
     enumerate_delta,
     exp_class,
     mukai_pairing,
@@ -410,12 +415,12 @@ class WallScanResult:
 
 
 class _Poly2:
-    """Quadratic polynomial with exact rational coefficients."""
+    """Quadratic polynomial c0 + c1 t + c2 t^2 with integer coefficients."""
 
     __slots__ = ("c0", "c1", "c2")
 
-    def __init__(self, c0, c1, c2):
-        self.c0, self.c1, self.c2 = as_fraction(c0), as_fraction(c1), as_fraction(c2)
+    def __init__(self, c0: int, c1: int, c2: int):
+        self.c0, self.c1, self.c2 = c0, c1, c2
 
     def __call__(self, t):
         return self.c0 + self.c1 * t + self.c2 * t * t
@@ -423,31 +428,89 @@ class _Poly2:
     def is_zero(self) -> bool:
         return self.c0 == 0 and self.c1 == 0 and self.c2 == 0
 
-    def roots(self) -> list:
-        """Exact real roots, as Fractions or Quads."""
-        if self.c2 == 0:
-            if self.c1 == 0:
-                return []
-            return [-self.c0 / self.c1]
-        disc = self.c1 * self.c1 - 4 * self.c2 * self.c0
+    def _solve(self) -> tuple[list, int]:
+        """(rational roots, 0), or ([], disc) when the two roots are the
+        irrational (-c1 -+ sqrt(disc)) / (2 c2)."""
+        c0, c1, c2 = self.c0, self.c1, self.c2
+        if c2 == 0:
+            return ([] if c1 == 0 else [Fraction(-c0, c1)]), 0
+        disc = c1 * c1 - 4 * c2 * c0
         if disc < 0:
-            return []
-        if disc == 0:
-            return [-self.c1 / (2 * self.c2)]
-        r = rational_sqrt(disc)
-        inv = 1 / (2 * self.c2)
-        if r is not None:
-            return sorted([(-self.c1 - r) * inv, (-self.c1 + r) * inv])
-        sq = Quad.sqrt_of(disc)
-        lo = (Quad(-self.c1) - sq) * inv
-        hi = (Quad(-self.c1) + sq) * inv
-        return sorted([lo, hi], key=float)
+            return [], 0
+        r = math.isqrt(disc)
+        if r * r != disc:
+            return [], disc
+        return sorted({Fraction(-c1 - r, 2 * c2), Fraction(-c1 + r, 2 * c2)}), 0
+
+    def _surd_root(self, i: int, disc: int) -> Quad:
+        """The smaller (i = 0) or larger (i = 1) irrational root; with
+        c2 < 0 the root with +sqrt(disc) is the smaller one."""
+        den = 2 * self.c2
+        sign = 1 if den > 0 else -1
+        return Quad(Fraction(-self.c1, den), Fraction(sign * (2 * i - 1), den), disc)
+
+    def _surd_roots_below(self, x: Fraction) -> int:
+        """How many of the two irrational roots lie below the rational x.
+        With the sign of c2 divided out, P is negative exactly between
+        the roots and positive elsewhere (it never vanishes at x), and
+        outside them the vertex -c1 / (2 c2) tells the two sides apart."""
+        p, q = x.numerator, x.denominator
+        lead = 1 if self.c2 > 0 else -1
+        if lead * (self.c0 * q * q + self.c1 * p * q + self.c2 * p * p) < 0:
+            return 1
+        return 0 if lead * (2 * self.c2 * p + self.c1 * q) < 0 else 2
+
+    def roots(self) -> list:
+        """Exact real roots in increasing order, as Fractions or Quads."""
+        rational, disc = self._solve()
+        if disc:
+            return [self._surd_root(0, disc), self._surd_root(1, disc)]
+        return rational
+
+    def roots_in(self, t0: Fraction, t1: Fraction) -> list:
+        """The roots in [t0, t1], increasing.  Irrational roots are placed
+        against t0 and t1 by integer signs, and only those inside become
+        Quads."""
+        rational, disc = self._solve()
+        if disc:
+            lo, hi = self._surd_roots_below(t0), self._surd_roots_below(t1)
+            return [self._surd_root(i, disc) for i in range(lo, hi)]
+        return [t for t in rational if t0 <= t <= t1]
 
 
 def _quadratic_coeffs(f0, f1, f_1) -> tuple:
     """(c0, c1, c2) with c0 + c1 t + c2 t^2 equal to f0, f1, f_1 at t = 0, 1, -1."""
     half = Fraction(1, 2)
     return f0, (f1 - f_1).scale(half), (f1 + f_1).scale(half) - f0
+
+
+def _integer_forms(lat: NSLattice, B_path: AffinePath, omega_path: AffinePath) -> tuple:
+    """Integer linear forms (F0, F1, F2, G0, G1, G2) on the coordinates
+    (r, l, s) with D Z_t(d) = (F0 + F1 t + F2 t^2)(d) + i (G0 + G1 t + G2 t^2)(d)
+    for one positive integer D.
+
+    Omega_t = exp(B_t + i omega_t) is quadratic in t, so Z_t(d) = <Omega_t, d>
+    is too, with coefficients <c_k, d>.  Each <c_k, .> is read off the unit
+    vectors, and D clears all their denominators at once: it scales Re Z_t
+    and Im Z_t alike, so no root and no sign changes."""
+    om0, om1, om_1 = (exp_class(B_path.at(t), omega_path.at(t), lat) for t in (0, 1, -1))
+    coeffs = _quadratic_coeffs(om0.re, om1.re, om_1.re) + _quadratic_coeffs(
+        om0.im, om1.im, om_1.im
+    )
+    units = basis_vectors(lat)
+    forms = [[as_fraction(mukai_pairing(c, e, lat)) for e in units] for c in coeffs]
+    den = math.lcm(*(x.denominator for form in forms for x in form))
+    return tuple(tuple(int(x * den) for x in form) for form in forms)
+
+
+def _check_scan(lat: NSLattice, B_path: AffinePath, omega_path: AffinePath, t0, t1) -> tuple:
+    """The parameter range as Fractions, after validating the scan input."""
+    t0, t1 = as_fraction(t0), as_fraction(t1)
+    if t0 > t1:
+        raise InputError("empty parameter range")
+    if len(B_path.const) != lat.rank or len(omega_path.const) != lat.rank:
+        raise InputError("path dimension disagrees with the lattice rank")
+    return t0, t1
 
 
 def wall_scan(
@@ -467,41 +530,51 @@ def wall_scan(
     path and the walls are the boundary points Re Z_t = 0; a class with
     Z_t identically zero is reported as a degenerate witness.
 
+    A t with omega_t = 0 lies outside the positive cone, but the scan
+    reports it all the same: there Im Z_t vanishes on every class, so
+    each boxed class whose Im Z_t is not identically zero and whose
+    Re Z_t <= 0 gives a wall at that t.
+
     Type C: (omega_t . C) = 0 is affine in t; at its root the pairing
     against (0, C, k) vanishes iff k = (B_t . C) is an integer.
 
     No sampling grid is involved, so the output cannot depend on one.
     """
-    t0, t1 = as_fraction(t0), as_fraction(t1)
-    if t0 > t1:
-        raise InputError("empty parameter range")
-    if len(B_path.const) != lat.rank or len(omega_path.const) != lat.rank:
-        raise InputError("path dimension disagrees with the lattice rank")
+    t0, t1 = _check_scan(lat, B_path, omega_path, t0, t1)
+    deltas = enumerate_delta(lat, bounds)
+    return _scan(lat, B_path, omega_path, t0, t1, deltas, k_bound)
+
+
+def _scan(
+    lat: NSLattice,
+    B_path: AffinePath,
+    omega_path: AffinePath,
+    t0: Fraction,
+    t1: Fraction,
+    deltas: DeltaList,
+    k_bound: Optional[int],
+) -> WallScanResult:
+    """The body of ``wall_scan`` over already enumerated (-2)-classes and
+    a range checked by ``_check_scan``."""
     walls: list[Wall] = []
     degenerate = []
 
-    # Omega_t = exp(B_t + i omega_t) is quadratic in t, so Z_t(d) = <Omega_t, d>
-    # is too, with coefficients <c_k, d>
-    om0, om1, om_1 = (exp_class(B_path.at(t), omega_path.at(t), lat) for t in (0, 1, -1))
-    re_coeffs = _quadratic_coeffs(om0.re, om1.re, om_1.re)
-    im_coeffs = _quadratic_coeffs(om0.im, om1.im, om_1.im)
-
-    deltas = enumerate_delta(lat, bounds)
+    re0, re1, re2, im0, im1, im2 = _integer_forms(lat, B_path, omega_path)
     for d in deltas:
         if d.r <= 0:
             continue
-        im_poly = _Poly2(*(mukai_pairing(c, d, lat) for c in im_coeffs))
-        re_poly = _Poly2(*(mukai_pairing(c, d, lat) for c in re_coeffs))
+        x = d.coords()
+        im_poly = _Poly2(sum(map(mul, im0, x)), sum(map(mul, im1, x)), sum(map(mul, im2, x)))
+        re_poly = _Poly2(sum(map(mul, re0, x)), sum(map(mul, re1, x)), sum(map(mul, re2, x)))
         if im_poly.is_zero():
             if re_poly.is_zero():
                 degenerate.append(d)
                 continue
-            for t in re_poly.roots():
-                if t0 <= t <= t1:
-                    walls.append(Wall(t, d, "A"))
+            for t in re_poly.roots_in(t0, t1):
+                walls.append(Wall(t, d, "A"))
         else:
-            for t in im_poly.roots():
-                if t0 <= t <= t1 and re_poly(t) <= 0:
+            for t in im_poly.roots_in(t0, t1):
+                if re_poly(t) <= 0:
                     walls.append(Wall(t, d, "A"))
 
     b0, b1 = B_path.const, B_path.lin

@@ -499,23 +499,22 @@ def enumerate_delta(lat: NSLattice, bounds: DeltaBox) -> DeltaList:
     """All delta = (r, l, s) in the box with delta^2 = -2, in lexicographic
     coordinate order.  For r != 0 the s-coordinate is solved from the
     square condition instead of scanned."""
-    out = []
-    rho = lat.rank
     l_range = range(-bounds.l_max, bounds.l_max + 1)
+    s_range = range(-bounds.s_max, bounds.s_max + 1)
+    # l^2 - 2rs = -2  =>  s = (l^2 + 2)/(2r); each l is squared once
+    nums = [(l, lat.ns_dot(l, l) + 2) for l in itertools.product(l_range, repeat=lat.rank)]
+    out = []
+    # r, then l in product order, then s: the output is lexicographic as built
     for r in range(-bounds.r_max, bounds.r_max + 1):
-        for l in itertools.product(l_range, repeat=rho):
-            l2 = lat.ns_dot(l, l)
-            if r == 0:
-                if l2 == -2:
-                    for s in range(-bounds.s_max, bounds.s_max + 1):
-                        out.append(MukaiVector(0, l, s))
-            else:
-                num = l2 + 2  # l^2 - 2rs = -2  =>  s = (l^2 + 2)/(2r)
-                if num % (2 * r) == 0:
-                    s = num // (2 * r)
-                    if abs(s) <= bounds.s_max:
-                        out.append(MukaiVector(r, l, int(s)))
-    out.sort(key=lambda d: d.coords())
+        if r == 0:
+            for l, num in nums:
+                if num == 0:
+                    out.extend(MukaiVector(0, l, s) for s in s_range)
+            continue
+        two_r = 2 * r
+        for l, num in nums:
+            if num % two_r == 0 and abs(num // two_r) <= bounds.s_max:
+                out.append(MukaiVector(r, l, num // two_r))
     return DeltaList(tuple(out), truncated=True)
 
 

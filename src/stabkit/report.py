@@ -12,6 +12,7 @@ import json
 from fractions import Fraction
 from typing import Optional
 
+from . import k3
 from .exact import Quad, frac_str
 from .k3 import AffinePath, WallScanResult, spherical_guard, K3CentralCharge
 from .lattice import DeltaBox, NSLattice
@@ -184,12 +185,11 @@ def chamber_plot_svg(
     with u, omega with t.
 
     Wall curves are traced by running the exact one-parameter t-scan on
-    each sampled u-column (no root is ever floated before plotting).
-    Chambers are shaded by how many walls lie below each cell in its
-    column; cells where omega leaves the positive cone are gray.
+    each sampled u-column (no root is ever floated before plotting); the
+    columns share one enumeration of the boxed (-2)-classes.  Chambers
+    are shaded by how many walls lie below each cell in its column;
+    cells where omega leaves the positive cone are gray.
     """
-    from .k3 import wall_scan
-
     width, height = 640.0, 560.0
     pad = 56.0
     svg = SVG(width, height)
@@ -203,12 +203,13 @@ def chamber_plot_svg(
         return height - pad - (tval - float(t0)) / tspan * (height - 2 * pad)
 
     # one exact scan per column, reused for shading and wall traces
+    lo, hi = k3._check_scan(lat, B_of_u, omega_of_t, t0, t1)
+    deltas = k3.enumerate_delta(lat, bounds)
     column_walls = []
     for i in range(columns + 1):
         uc = u0 + (u1 - u0) * Fraction(i, columns)
-        res = wall_scan(
-            lat, AffinePath.constant(B_of_u.at(uc)), omega_of_t, t0, t1, bounds, k_bound
-        )
+        B = AffinePath.constant(B_of_u.at(uc))
+        res = k3._scan(lat, B, omega_of_t, lo, hi, deltas, k_bound)
         column_walls.append((uc, res.walls))
 
     shades = ("#f7fbff", "#deebf7", "#c6dbef", "#9ecae1", "#6baed6")
