@@ -65,14 +65,15 @@ from .quiver import Quiver, QuiverRep, ResourceBound, load_quiver_config
 from . import report
 
 
-def default_bound(fallback: int = 4) -> int:
+def default_bound() -> int:
+    """STABKIT_BOUND if set, else 4."""
     env = os.environ.get("STABKIT_BOUND")
     if env:
         try:
             return int(env)
         except ValueError:
             raise InputError(f"STABKIT_BOUND must be an integer, got {env!r}")
-    return fallback
+    return 4
 
 
 # ---------------------------------------------------------------------------

@@ -294,7 +294,7 @@ class Quad:
         # sqrt(d) rational, impossible for squarefree d > 1
         lhs, rhs = self.a * self.a, self.b * self.b * self.d
         if lhs == rhs:
-            raise AssertionError("squarefree radicand collapsed")
+            raise InvariantError("squarefree radicand collapsed")
         rational_wins = lhs > rhs
         if rational_wins:
             return 1 if self.a > 0 else -1
@@ -695,7 +695,7 @@ class PhaseValue:
                 self - Fraction(cand + 1)
             ).sign() < 0:
                 return cand
-        raise AssertionError("floor bracket failed")
+        raise InvariantError("floor bracket failed")
 
     def mod2_split(self) -> tuple["PhaseValue", int]:
         """Write value = phi0 + 2k with phi0 in [0, 2); returns (phi0, k)."""

@@ -178,7 +178,7 @@ def f_eval(g: GLTildeElement, phi: Union[PhaseValue, Fraction, int]) -> PhaseVal
         cand = a + Fraction(2 * mshift)
         if (cand - g.f0).sign() >= 0 and (cand - (g.f0 + 2)).sign() < 0:
             return cand + Fraction(2 * k)
-    raise AssertionError("branch selection failed")
+    raise InvariantError("branch selection failed")
 
 
 def compose(g1: GLTildeElement, g2: GLTildeElement) -> GLTildeElement:

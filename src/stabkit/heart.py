@@ -138,13 +138,6 @@ class HeartCharge:
         +eps, magnitudes and all verdicts unchanged)."""
         return HeartCharge(self.z, self.rot + as_fraction(eps))
 
-    def value_float(self, dims: Sequence[int]) -> complex:
-        import cmath
-
-        return complex(self.base_value(dims)) * cmath.exp(
-            1j * cmath.pi * float(self.rot)
-        )
-
 
 # ---------------------------------------------------------------------------
 # semistability and filtrations
@@ -199,20 +192,18 @@ def _verdict(
     return SemistabilityVerdict("stable" if stable else "semistable", phi)
 
 
-def _lattice_verdict(E: QuiverRep, zc: HeartCharge, Q: Quiver, total_bound: int):
+def _lattice_verdict(E: QuiverRep, zc: HeartCharge, Q: Quiver):
     """The subobject lattice of E, its charge values and E's verdict."""
     if E.is_zero():
         raise InputError("the zero representation has no stability verdict")
-    lat = SubobjectLattice(E, Q, total_bound)
+    lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
     values = _charge_values(lat, zc)
     return lat, values, _verdict(lat, values, zc)
 
 
-def is_semistable(
-    E: QuiverRep, zc: HeartCharge, Q: Quiver, total_bound: int = DEFAULT_TOTAL_DIM
-) -> SemistabilityVerdict:
+def is_semistable(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> SemistabilityVerdict:
     """Exhaustive check over all proper nonzero subobjects."""
-    return _lattice_verdict(E, zc, Q, total_bound)[2]
+    return _lattice_verdict(E, zc, Q)[2]
 
 
 @dataclass(frozen=True)
@@ -251,9 +242,7 @@ def _hn_chain(lat: SubobjectLattice, values: list) -> list:
     return chain
 
 
-def hn_filtration(
-    E: QuiverRep, zc: HeartCharge, Q: Quiver, total_bound: int = DEFAULT_TOTAL_DIM
-) -> HNResult:
+def hn_filtration(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> HNResult:
     """Greedy Harder-Narasimhan filtration: repeatedly take the maximal
     destabilizer of the current quotient (maximal phase, then maximal
     total dimension, then first in the deterministic lattice order).
@@ -263,7 +252,7 @@ def hn_filtration(
     """
     if E.is_zero():
         raise InputError("the zero representation has no HN filtration")
-    lat = SubobjectLattice(E, Q, total_bound)
+    lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
     chain = _hn_chain(lat, _charge_values(lat, zc))
     factors = []
     for lo, hi in zip(chain, chain[1:]):
@@ -277,21 +266,22 @@ def hn_filtration(
 
 
 def _hn_phase_range(lat: SubobjectLattice, zc: HeartCharge) -> tuple:
-    """Phases of the first and the last HN factor of lat.E."""
+    """Phases of the first and the last HN factor of lat.E, and whether
+    lat.E is semistable (its HN chain has a single factor)."""
     chain = _hn_chain(lat, _charge_values(lat, zc))
     top = zc.phase(lat.interval_quotient_class(chain[0], chain[1]))
+    if len(chain) == 2:
+        return top, top, True
     bottom = zc.phase(lat.interval_quotient_class(chain[-2], chain[-1]))
-    return top, bottom
+    return top, bottom, False
 
 
-def hn_oracle(
-    E: QuiverRep, zc: HeartCharge, Q: Quiver, total_bound: int = DEFAULT_TOTAL_DIM
-) -> list:
+def hn_oracle(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> list:
     """All filtrations with semistable factors of strictly decreasing
     phase, found by brute force over the subobject lattice.  Returns the
     list of chains (as tuples of dimension vectors); Harder-Narasimhan
     uniqueness says there is exactly one."""
-    lat = SubobjectLattice(E, Q, total_bound)
+    lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
     values = _charge_values(lat, zc)
 
     def factor_semistable(lo: int, hi: int) -> bool:
@@ -318,12 +308,10 @@ def hn_oracle(
     return results
 
 
-def jh_filtration(
-    E: QuiverRep, zc: HeartCharge, Q: Quiver, total_bound: int = DEFAULT_TOTAL_DIM
-) -> list:
+def jh_filtration(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> list:
     """Stable factors (with multiplicity) of a semistable representation,
     all of the same phase; the multiset is unique, the chain is not."""
-    lat, values, verdict = _lattice_verdict(E, zc, Q, total_bound)
+    lat, values, verdict = _lattice_verdict(E, zc, Q)
     if not verdict.is_semistable():
         raise InputError("Jordan-Holder refinement needs a semistable input")
     top_val = values[lat.top]
@@ -344,12 +332,10 @@ def jh_filtration(
     return factors
 
 
-def jh_oracle(
-    E: QuiverRep, zc: HeartCharge, Q: Quiver, total_bound: int = DEFAULT_TOTAL_DIM
-) -> set:
+def jh_oracle(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> set:
     """The set of stable-factor multisets over all maximal same-phase
     chains (should be a single multiset)."""
-    lat, values, verdict = _lattice_verdict(E, zc, Q, total_bound)
+    lat, values, verdict = _lattice_verdict(E, zc, Q)
     if not verdict.is_semistable():
         raise InputError("oracle needs a semistable input")
     top_val = values[lat.top]
@@ -400,7 +386,6 @@ def torsion_cut(
     phi0: PhaseValue,
     zc: HeartCharge,
     Q: Quiver,
-    total_bound: int = DEFAULT_TOTAL_DIM,
 ) -> TorsionCut:
     """Split E along its HN filtration at phase phi0: E' collects the
     factors of phase > phi0.  Uniqueness is certified by Hom(E',E'') = 0."""
@@ -409,7 +394,7 @@ def torsion_cut(
     if E.is_zero():
         zero = QuiverRep.zero(Q)
         return TorsionCut(zero, zero.dims, zero, zero.dims, True)
-    lat = SubobjectLattice(E, Q, total_bound)
+    lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
     chain = _hn_chain(lat, _charge_values(lat, zc))
     cut = 0
     for lo, hi in zip(chain, chain[1:]):
@@ -435,7 +420,6 @@ def torsion_pair_verify(
     t_predicate: Callable[[QuiverRep], bool],
     Q: Quiver,
     max_dims: Sequence[int],
-    total_bound: int = DEFAULT_TOTAL_DIM,
 ) -> TorsionPairReport:
     """Check that (T, T-perp) decomposes every representation up to the
     bound: for each E there must be a subobject in T whose quotient is
@@ -444,19 +428,18 @@ def torsion_pair_verify(
     The predicate must be isomorphism-closed (caller's duty; spot checked
     on conjugated representations).
     """
-    return _torsion_pair(t_predicate, Q, max_dims, total_bound)[0]
+    return _torsion_pair(t_predicate, Q, max_dims)[0]
 
 
 def _torsion_pair(
     t_predicate: Callable[[QuiverRep], bool],
     Q: Quiver,
     max_dims: Sequence[int],
-    total_bound: int,
 ) -> tuple:
     """The torsion-pair report and the classes it was decided on:
     (reps, t_list, in_f), the bounded nonzero reps, those in T, and
     membership in T-perp."""
-    reps = list(enumerate_reps(Q, max_dims, total_bound))
+    reps = list(enumerate_reps(Q, max_dims))
     t_list = [E for E in reps if t_predicate(E)]
 
     def in_f(X: QuiverRep) -> bool:
@@ -474,7 +457,7 @@ def _torsion_pair(
             return report, classes
 
     for E in reps:
-        lat = SubobjectLattice(E, Q, total_bound)
+        lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
         found = False
         for i in range(len(lat.entries)):
             sub = lat.sub_rep(i)
@@ -542,7 +525,6 @@ def tilt_heart_check(
     t_predicate: Callable[[QuiverRep], bool],
     Q: Quiver,
     max_dims: Sequence[int],
-    total_bound: int = DEFAULT_TOTAL_DIM,
 ) -> TiltReport:
     """Verify that the two-term pairs (F-part in degree -1, T-part in
     degree 0) form the heart of a bounded t-structure.
@@ -553,7 +535,7 @@ def tilt_heart_check(
     for consistency with the Euler form.  The degenerate identities
     (F = 0 gives back the original heart, T = 0 its shift) are reported.
     """
-    pair, (reps, t_list, in_f) = _torsion_pair(t_predicate, Q, max_dims, total_bound)
+    pair, (reps, t_list, in_f) = _torsion_pair(t_predicate, Q, max_dims)
     if not pair.ok:
         return TiltReport(False, failures=((pair.axiom, pair.witness),))
     f_list = [E for E in reps if in_f(E)]
@@ -580,7 +562,6 @@ def slicing_distance(
     zc2: HeartCharge,
     Q: Quiver,
     max_dims: Sequence[int],
-    total_bound: int = DEFAULT_TOTAL_DIM,
 ) -> PhaseValue:
     """sup over the bounded object set of |phi^+- difference| between the
     two slicings; a lower bound for the distance over all objects.
@@ -591,13 +572,13 @@ def slicing_distance(
     """
     sup: Optional[PhaseValue] = None
     inf_formula: Optional[PhaseValue] = None
-    for E in enumerate_reps(Q, max_dims, total_bound):
-        lat = SubobjectLattice(E, Q, total_bound)
-        top1, bot1 = _hn_phase_range(lat, zc1)
-        top2, bot2 = _hn_phase_range(lat, zc2)
+    for E in enumerate_reps(Q, max_dims):
+        lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
+        top1, bot1, _ = _hn_phase_range(lat, zc1)
+        top2, bot2, semistable2 = _hn_phase_range(lat, zc2)
         local = max(abs(top1 - top2), abs(bot1 - bot2))
         sup = local if sup is None else max(sup, local)
-        if (top2 - bot2).sign() == 0:  # zc2-semistable
+        if semistable2:
             eps_e = max(top1 - top2, bot2 - bot1)
             inf_formula = eps_e if inf_formula is None else max(inf_formula, eps_e)
     if sup is None:
@@ -636,7 +617,6 @@ def stability_norm(
     zc: HeartCharge,
     Q: Quiver,
     max_dims: Sequence[int],
-    total_bound: int = DEFAULT_TOTAL_DIM,
 ) -> NormValue:
     """Norm of the linear form U relative to the charge: the sup runs over
     representations certified semistable, and only classes matter."""
@@ -644,10 +624,10 @@ def stability_norm(
         raise InputError("linear form length disagrees with the charge")
     best = Fraction(0)
     seen: set = set()
-    for E in enumerate_reps(Q, max_dims, total_bound):
+    for E in enumerate_reps(Q, max_dims):
         if E.dims in seen:
             continue
-        if not is_semistable(E, zc, Q, total_bound).is_semistable():
+        if not is_semistable(E, zc, Q).is_semistable():
             continue
         seen.add(E.dims)
         u = RatComplex(0, 0)
@@ -660,13 +640,11 @@ def stability_norm(
     return NormValue(best, truncated=True)
 
 
-def mass(
-    E: QuiverRep, zc: HeartCharge, Q: Quiver, total_bound: int = DEFAULT_TOTAL_DIM
-) -> SqrtSum:
+def mass(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> SqrtSum:
     """Sum of |Z| over the HN factors, as an exact sum of square roots."""
     if E.is_zero():
         raise InputError("the zero representation has no mass")
-    hn = hn_filtration(E, zc, Q, total_bound)
+    hn = hn_filtration(E, zc, Q)
     total = SqrtSum()
     for cls, _ in hn.factors:
         total = total + SqrtSum.sqrt_of(zc.abs2(cls))
@@ -688,7 +666,6 @@ def deformation_test(
     eps,
     Q: Quiver,
     max_dims: Sequence[int],
-    total_bound: int = DEFAULT_TOTAL_DIM,
 ) -> DeformationReport:
     """If ||W - Z||_sigma < sin(pi eps) on the bounded set, the slicings
     must be within eps of each other there (the desk-scale shadow of the
@@ -703,7 +680,7 @@ def deformation_test(
         raise InputError("deformation checks need eps < 1/2")
     if wc.rot == zc.rot:
         diff = tuple(w - z for w, z in zip(wc.z, zc.z))
-        norm = stability_norm(diff, zc, Q, max_dims, total_bound)
+        norm = stability_norm(diff, zc, Q, max_dims)
         within = norm.less_than_sin_pi(eps)
     elif wc.z == zc.z:
         delta = wc.rot - zc.rot
@@ -722,7 +699,7 @@ def deformation_test(
         return DeformationReport(
             False, norm=norm, note="norm >= sin(pi eps): hypothesis not met"
         )
-    dist = slicing_distance(zc, wc, Q, max_dims, total_bound)
+    dist = slicing_distance(zc, wc, Q, max_dims)
     ok = (dist - eps).sign() < 0
     return DeformationReport(True, ok=ok, norm=norm, distance=dist)
 
@@ -752,13 +729,12 @@ def slicing_hom_vanishing(
     zc: HeartCharge,
     Q: Quiver,
     max_dims: Sequence[int],
-    total_bound: int = DEFAULT_TOTAL_DIM,
 ) -> tuple[int, tuple]:
     """Hom(P(phi1), P(phi2)) = 0 for phi1 > phi2, exhaustively on the
     bounded set; returns (pairs checked, failures)."""
     semis = []
-    for E in enumerate_reps(Q, max_dims, total_bound):
-        lat, values, v = _lattice_verdict(E, zc, Q, total_bound)
+    for E in enumerate_reps(Q, max_dims):
+        lat, values, v = _lattice_verdict(E, zc, Q)
         if v.is_semistable():
             semis.append((E, values[lat.top]))
     checked, failures = _hom_vanishing(semis, Q)
@@ -776,7 +752,6 @@ def hom_principles_check(
     zc: HeartCharge,
     Q: Quiver,
     max_dims: Sequence[int],
-    total_bound: int = DEFAULT_TOTAL_DIM,
 ) -> PrinciplesReport:
     """Exhaustive verification, on the bounded set, of the standard
     consequences of stability:
@@ -789,29 +764,32 @@ def hom_principles_check(
     """
     reps = []  # (E, verdict, integer charge value of E)
     unsplit = []  # unstable E that do not split against their maximal destabilizer
-    for E in enumerate_reps(Q, max_dims, total_bound):
-        lat, values, v = _lattice_verdict(E, zc, Q, total_bound)
+    for E in enumerate_reps(Q, max_dims):
+        lat, values, v = _lattice_verdict(E, zc, Q)
         reps.append((E, v, values[lat.top]))
         if v.status == "unstable":
-            first = _hn_chain(lat, values)[1]
-            A, B = lat.sub_rep(first), lat.quotient_rep(first)
-            if A.is_zero() or B.is_zero() or hom_space(A, B, Q)[0] != 0:
+            # the witness is E's maximal destabilizer, the first step of
+            # its HN chain: a proper nonzero subobject
+            first = _max_destabilizer(lat, values, lat.bottom)
+            if hom_space(v.witness, lat.quotient_rep(first), Q)[0] != 0:
                 unsplit.append(E.dims)
     semis = [(E, val) for E, v, val in reps if v.is_semistable()]
     stables = [(E, val) for E, v, val in reps if v.status == "stable"]
     checked, vanishing = _hom_vanishing(semis, Q)
     failures = [("hom-vanishing", *pair) for pair in vanishing]
+    endos = []  # (E, basis of Hom(E, E)) per stable E, in order
     for (E, ve), (F, vf) in itertools.product(stables, stables):
         if _cross(ve, vf) != 0:
             continue  # towards higher phase unconstrained, towards lower by i)
         hdim, basis = hom_space(E, F, Q)
+        if E is F:
+            endos.append((E, basis))
         if hdim == 0:
             continue
         checked += 1
         if not _span_contains_iso(basis, Q):
             failures.append(("stable-hom-not-iso", E.dims, F.dims))
-    for E, _ in stables:
-        hdim, basis = hom_space(E, E, Q)
+    for E, basis in endos:
         checked += 1
         if not _all_nonzero_invertible(basis, Q):
             failures.append(("endo-not-division", E.dims, None))
@@ -879,7 +857,6 @@ def local_finiteness_probe(
     Q: Quiver,
     eta,
     max_dims: Sequence[int],
-    total_bound: int = DEFAULT_TOTAL_DIM,
 ) -> LocalFinitenessReport:
     """Document finiteness of the thickened slices on the bounded set.
 
@@ -895,12 +872,11 @@ def local_finiteness_probe(
         raise InputError("eta must be positive")
     phases = []
     objects = []
-    for E in enumerate_reps(Q, max_dims, total_bound):
-        top, bot = _hn_phase_range(SubobjectLattice(E, Q, total_bound), zc)
+    for E in enumerate_reps(Q, max_dims):
+        lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
+        top, bot, semistable = _hn_phase_range(lat, zc)
         objects.append((E, top, bot))
-        if (top - bot).sign() == 0 and not any(
-            (top - q).sign() == 0 for q in phases
-        ):
+        if semistable and not any((top - q).sign() == 0 for q in phases):
             phases.append(top)
     slices = []
     for phi in phases:

@@ -150,9 +150,9 @@ def spherical_guard(zc: K3CentralCharge, bounds: DeltaBox) -> GuardResult:
     return GuardResult(True, truncated=not complete)
 
 
-def discreteness_check(zc: K3CentralCharge, m: int, samples: int = 64) -> bool:
+def discreteness_check(zc: K3CentralCharge, m: int) -> bool:
     """True iff B, omega lie in (1/m) NS; then m^2 Z(v) has entries in Z[i],
-    which is spot-verified on a random sample of integral classes."""
+    which is spot-verified on 64 random integral classes."""
     if m <= 0:
         raise InputError("m must be positive")
     integral = all((m * x).denominator == 1 for x in zc.B) and all(
@@ -161,7 +161,7 @@ def discreteness_check(zc: K3CentralCharge, m: int, samples: int = 64) -> bool:
     if not integral:
         return False
     rng = random.Random(20210 + m)
-    for _ in range(samples):
+    for _ in range(64):
         v = MukaiVector(
             rng.randint(-9, 9),
             tuple(rng.randint(-9, 9) for _ in range(zc.lat.rank)),
@@ -313,14 +313,14 @@ def normalize_to_exp_form(Om: ComplexMukaiVector, lat: NSLattice) -> ExpNormalFo
     r1, r2 = as_fraction(re.r), as_fraction(im.r)
     if r1 == 0 and r2 == 0:
         # impossible for a positive plane: {r = 0} meets it in a line
-        raise AssertionError("positive plane orthogonal to the point class")
+        raise InvariantError("positive plane orthogonal to the point class")
     c0, d0 = -r2, r1  # kernel of the r-components; scale is absorbed below
     im0 = re.scale(c0) + im.scale(d0)
     p_re_im0 = as_fraction(mukai_pairing(re, im0, lat))
     p_im_im0 = as_fraction(mukai_pairing(im, im0, lat))
     det_sys = r1 * p_im_im0 - r2 * p_re_im0
     if det_sys == 0:
-        raise AssertionError("normalization system degenerated on a positive plane")
+        raise InvariantError("normalization system degenerated on a positive plane")
     a = p_im_im0 / det_sys
     b = -p_re_im0 / det_sys
     re_p = re.scale(a) + im.scale(b)

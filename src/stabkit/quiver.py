@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .exact import RatComplex
+from .exact import InvariantError, RatComplex
 from .lattice import InputError
 
 
@@ -490,7 +490,7 @@ def _solve_in_basis(basis: Sequence[tuple], target: tuple, p: int) -> list[int]:
     the span)."""
     if not basis:
         if any(x % p for x in target):
-            raise AssertionError("vector outside subspace")
+            raise InvariantError("vector outside subspace")
         return []
     rows = [[basis[j][i] for j in range(len(basis))] for i in range(len(target))]
     aug = [row + [target[i]] for i, row in enumerate(rows)]
@@ -498,7 +498,7 @@ def _solve_in_basis(basis: Sequence[tuple], target: tuple, p: int) -> list[int]:
     coords = [0] * len(basis)
     for r, c in enumerate(pivots):
         if c == len(basis):
-            raise AssertionError("vector outside subspace")
+            raise InvariantError("vector outside subspace")
         coords[c] = red[r][len(basis)]
     return coords
 
@@ -585,23 +585,26 @@ def enumerate_reps_of_dims(dims: Sequence[int], Q: Quiver) -> Iterator[QuiverRep
         yield QuiverRep(dims, mats, Q)
 
 
-def enumerate_reps(
-    Q: Quiver,
-    max_dims: Sequence[int],
-    total_bound: Optional[int] = None,
-    include_zero: bool = False,
-) -> Iterator[QuiverRep]:
-    """All representations with dims[v] <= max_dims[v] (and total dimension
-    <= total_bound if given), in deterministic order."""
+def enumerate_reps(Q: Quiver, max_dims: Sequence[int]) -> Iterator[QuiverRep]:
+    """All nonzero representations with dims[v] <= max_dims[v], in
+    deterministic order.
+
+    Raises ResourceBound at the call, before any rep is made, when the box
+    reaches past total dimension DEFAULT_TOTAL_DIM, the bound every
+    subobject lattice is built under; no rep of the box is dropped.
+    """
     max_dims = tuple(int(x) for x in max_dims)
     if len(max_dims) != Q.n:
         raise InputError("max_dims length disagrees with the quiver")
-    for dims in itertools.product(*[range(m + 1) for m in max_dims]):
-        if sum(dims) == 0 and not include_zero:
-            continue
-        if total_bound is not None and sum(dims) > total_bound:
-            continue
-        yield from enumerate_reps_of_dims(dims, Q)
+    if sum(max_dims) > DEFAULT_TOTAL_DIM:
+        raise ResourceBound(
+            f"box {list(max_dims)} has total dimension {sum(max_dims)}, "
+            f"above the bound {DEFAULT_TOTAL_DIM}"
+        )
+    boxes = itertools.product(*[range(m + 1) for m in max_dims])
+    return itertools.chain.from_iterable(
+        enumerate_reps_of_dims(dims, Q) for dims in boxes if any(dims)
+    )
 
 
 def random_rep(dims: Sequence[int], Q: Quiver, rng) -> QuiverRep:

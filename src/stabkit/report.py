@@ -92,24 +92,23 @@ class SVG:
         self.height = height
         self.items: list[str] = []
 
-    def rect(self, x, y, w, h, fill, opacity=1.0):
+    def rect(self, x, y, w, h, fill):
         self.items.append(
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
-            f'fill="{fill}" fill-opacity="{opacity:.2f}" stroke="none"/>'
+            f'fill="{fill}" fill-opacity="1.00" stroke="none"/>'
         )
 
-    def line(self, x1, y1, x2, y2, stroke="#000", width=1.0, dash: str = ""):
-        d = f' stroke-dasharray="{dash}"' if dash else ""
+    def line(self, x1, y1, x2, y2, stroke="#000", width=1.0):
         self.items.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            f'stroke="{stroke}" stroke-width="{width:.2f}"{d}/>'
+            f'stroke="{stroke}" stroke-width="{width:.2f}"/>'
         )
 
-    def polyline(self, points, stroke="#000", width=1.5):
+    def polyline(self, points, stroke="#000"):
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
         self.items.append(
             f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{width:.2f}"/>'
+            f'stroke-width="1.50"/>'
         )
 
     def circle(self, x, y, r, fill="#000"):
@@ -273,9 +272,9 @@ def chamber_plot_svg(
 # misc JSON reports
 
 
-def heart_image_json(report, note: str = "") -> str:
+def heart_image_json(report) -> str:
     data = {
-        "note": note,
+        "note": "",
         "checked": report.checked,
         "ok": report.ok,
         "guard_truncated": report.guard.truncated,

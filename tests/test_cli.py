@@ -290,6 +290,17 @@ class TestQuiverCommands:
         )
         assert code == 2
 
+    def test_sweep_box_past_the_total_bound_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "three_points.json"
+        path.write_text(json.dumps(
+            {"vertices": 3, "arrows": [], "p": 2,
+             "charge": [["-1", "1"], ["0", "1"], ["1", "1"]]}
+        ))
+        code = main(["quiver", "check", "--config", str(path), "--suite", "gp",
+                     "--bound", "3,3,3"])
+        assert code == 2
+        assert "total dimension 9" in capsys.readouterr().err
+
 
 class TestCurveCommands:
     def test_decompose_identity(self, capsys):

@@ -438,6 +438,27 @@ class TestPrinciples:
         rep = hom_principles_check(z_swapped, a2, (2, 2))
         assert rep.ok
 
+    def test_each_hom_space_once_and_no_hn_chain(self, monkeypatch):
+        # an unstable rep splits against its verdict's witness, so no HN
+        # chain is walked, and Hom(E, E) of a stable E is computed once
+        Q, zc = load_quiver_config(CONFIGS / "kronecker.json")
+        endo_calls = []  # the reps E of every hom_space(E, E) call
+        hom_space = heart.hom_space
+
+        def recording_hom_space(E, F, Q):
+            if E is F:
+                endo_calls.append(E)
+            return hom_space(E, F, Q)
+
+        def no_hn_chain(*args):
+            raise AssertionError("hom_principles_check walked an HN chain")
+
+        monkeypatch.setattr(heart, "hom_space", recording_hom_space)
+        monkeypatch.setattr(heart, "_hn_chain", no_hn_chain)
+        rep = hom_principles_check(zc, Q, (2, 2))
+        assert rep.ok
+        assert len({id(E) for E in endo_calls}) == len(endo_calls) > 0
+
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

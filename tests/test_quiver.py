@@ -2,12 +2,13 @@ import itertools
 
 import pytest
 
-from stabkit.lattice import InputError
+from stabkit.lattice import InputError, InvariantError
 from stabkit.quiver import (
     Quiver,
     QuiverRep,
     ResourceBound,
     SubobjectLattice,
+    _solve_in_basis,
     count_reps,
     enumerate_reps,
     ext1_dim,
@@ -226,3 +227,17 @@ class TestEnumeration:
 
     def test_zero_excluded_by_default(self, a2):
         assert all(not E.is_zero() for E in enumerate_reps(a2, (1, 1)))
+
+    def test_box_past_the_total_bound_raises(self):
+        # (3, 3, 3) has total dimension 9 > 8; no rep of the box is dropped
+        Q = Quiver(3, [], 2)
+        assert sum(1 for _ in enumerate_reps(Q, (2, 3, 3))) == 47
+        with pytest.raises(ResourceBound):
+            enumerate_reps(Q, (3, 3, 3))
+
+
+class TestSolveInBasis:
+    @pytest.mark.parametrize("basis", [(), ((1, 0),)], ids=["empty", "line"])
+    def test_vector_outside_the_span_raises(self, basis):
+        with pytest.raises(InvariantError):
+            _solve_in_basis(basis, (0, 1), 2)
