@@ -541,7 +541,15 @@ class PhaseValue:
             x, y = direction.re, direction.im
         else:
             x, y = direction
-        x, y = as_fraction(x), as_fraction(y)
+        if not isinstance(x, int):
+            x = as_fraction(x)
+        if not isinstance(y, int):
+            y = as_fraction(y)
+        # a positive scale moves no phase: clear denominators, then work
+        # on integers (ints have denominator 1)
+        den = math.lcm(x.denominator, y.denominator)
+        x = x.numerator * (den // x.denominator)
+        y = y.numerator * (den // y.denominator)
         if x == 0 and y == 0:
             raise ValueError("zero direction has no phase")
         offset = as_fraction(offset)
@@ -549,7 +557,7 @@ class PhaseValue:
         if x < 0 or (x == 0 and y != 0):
             if x == 0:
                 offset += _HALF if y > 0 else -_HALF
-                x, y = Fraction(1), Fraction(0)
+                x, y = 1, 0
             elif y > 0:  # second quadrant: arg = arg(-x,-y) + pi
                 offset += 1
                 x, y = -x, -y
@@ -559,10 +567,8 @@ class PhaseValue:
             else:  # negative real axis: arg = +pi
                 offset += 1
                 x, y = -x, -y
-        den = math.lcm(x.denominator, y.denominator)
-        xi, yi = int(x * den), int(y * den)
-        g = math.gcd(xi, yi)
-        self.offset, self.x, self.y = offset, xi // g, yi // g
+        g = math.gcd(x, y)
+        self.offset, self.x, self.y = offset, x // g, y // g
 
     # -- constructors --------------------------------------------------
 
@@ -600,8 +606,9 @@ class PhaseValue:
         if isinstance(q, PhaseValue):
             # arg(z1) + arg(z2) = arg(z1 * z2): both canonical args lie in
             # (-pi/2, pi/2), so the sum stays in the principal branch.
-            z = RatComplex(self.x, self.y) * RatComplex(q.x, q.y)
-            return PhaseValue((z.re, z.im), self.offset + q.offset)
+            x = self.x * q.x - self.y * q.y
+            y = self.x * q.y + self.y * q.x
+            return PhaseValue((x, y), self.offset + q.offset)
         return NotImplemented
 
     __radd__ = __add__
@@ -614,8 +621,9 @@ class PhaseValue:
         # arg(z1) - arg(z2) = arg(z1 * conj(z2)) exactly: both canonical
         # args lie in (-pi/2, pi/2), so the difference is in (-pi, pi),
         # inside the principal branch.
-        z = RatComplex(self.x, self.y) * RatComplex(other.x, -other.y)
-        return PhaseValue((z.re, z.im), self.offset - other.offset)
+        x = self.x * other.x + self.y * other.y
+        y = self.y * other.x - self.x * other.y
+        return PhaseValue((x, y), self.offset - other.offset)
 
     def __neg__(self) -> "PhaseValue":
         return PhaseValue((self.x, -self.y), -self.offset)

@@ -45,24 +45,15 @@ from .quiver import (
 
 
 def _charge_values(lat: SubobjectLattice, zc: HeartCharge) -> list:
-    """The integer charge value (x, y) of every lattice entry.
-
-    Denominators of the charge are cleared once (a common positive scale
-    does not move any phase), so that every phase comparison inside the
-    HN machinery is a single integer cross product: phi(a) < phi(b) iff
-    a.x b.y - a.y b.x > 0 on H-bar.
+    """The integer charge value (x, y) of every lattice entry, so that
+    every phase comparison inside the HN machinery is a single integer
+    cross product: phi(a) < phi(b) iff a.x b.y - a.y b.x > 0 on H-bar.
     """
-    den = 1
-    for zv in zc.z:
-        den = math.lcm(den, zv.re.denominator, zv.im.denominator)
-    zint = [(int(zv.re * den), int(zv.im * den)) for zv in zc.z]
     by_dims = {}
     values = []
     for ent in lat.entries:
         if ent.dims not in by_dims:
-            x = sum(d * z[0] for d, z in zip(ent.dims, zint))
-            y = sum(d * z[1] for d, z in zip(ent.dims, zint))
-            by_dims[ent.dims] = (x, y)
+            by_dims[ent.dims] = zc._value(ent.dims)
         values.append(by_dims[ent.dims])
     return values
 
@@ -96,6 +87,10 @@ class HeartCharge:
     The effective charge is exp(i pi rot) * sum(dims[v] * z[v]).  The
     base values must lie in H-bar so that every nonzero effective class
     has a well-defined phase; the rotation relabels phases exactly.
+
+    The denominators of the z[v] are cleared once, at construction, into
+    one integer pair per vertex: a common positive scale moves no phase,
+    so phases and their order are read off integer values.
     """
 
     z: tuple
@@ -108,8 +103,11 @@ class HeartCharge:
                 raise InputError("charge entries must be exact complex numbers")
             if zv.is_zero() or not zv.in_upper_closure():
                 raise InputError(f"charge value {zv} is not in H-bar minus 0")
+        den = math.lcm(*(c.denominator for zv in z for c in (zv.re, zv.im)))
+        zint = tuple((int(zv.re * den), int(zv.im * den)) for zv in z)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "rot", as_fraction(rot))
+        object.__setattr__(self, "_zint", zint)
 
     @property
     def n(self) -> int:
@@ -124,11 +122,22 @@ class HeartCharge:
                 total = total + zv.scale(d)
         return total
 
+    def _value(self, dims: Sequence[int]) -> tuple:
+        """The base value of dims times the cleared denominator, as an
+        integer pair (x, y)."""
+        if len(dims) != len(self._zint):
+            raise InputError("dimension vector length disagrees with the charge")
+        x = sum(d * zv[0] for d, zv in zip(dims, self._zint))
+        y = sum(d * zv[1] for d, zv in zip(dims, self._zint))
+        return x, y
+
     def phase(self, dims: Sequence[int]) -> PhaseValue:
-        base = self.base_value(dims)
-        if base.is_zero():
+        x, y = self._value(dims)
+        if x == 0 and y == 0:
             raise InputError("zero class has no phase")
-        return PhaseValue.of_upper(base) + self.rot
+        if y < 0 or (y == 0 and x > 0):
+            raise ValueError(f"class {tuple(dims)} lies outside H-bar")
+        return PhaseValue((x, y), self.rot)
 
     def abs2(self, dims: Sequence[int]) -> Fraction:
         return self.base_value(dims).abs2()
@@ -175,30 +184,31 @@ def _max_destabilizer(lat: SubobjectLattice, values: list, current: int) -> int:
     return best
 
 
-def _verdict(
-    lat: SubobjectLattice, values: list, zc: HeartCharge
-) -> SemistabilityVerdict:
-    """Semistability of lat.E against every proper nonzero subobject; the
-    witness of instability is the maximal destabilizer of E."""
+def _verdict(lat: SubobjectLattice, values: list, zc: HeartCharge) -> tuple:
+    """Semistability of lat.E against every proper nonzero subobject, and
+    the entry index of E's maximal destabilizer, which is the witness of
+    instability."""
     phi = zc.phase(lat.E.dims)
     top_val = values[lat.top]
     first = _max_destabilizer(lat, values, lat.bottom)
     if _cross(top_val, values[first]) > 0:  # phi(E) < phi(first)
-        return SemistabilityVerdict(
+        verdict = SemistabilityVerdict(
             "unstable", phi, lat.sub_rep(first), lat.entries[first].dims
         )
+        return verdict, first
     proper = (v for i, v in enumerate(values) if i not in (lat.bottom, lat.top))
     stable = all(_cross(top_val, v) != 0 for v in proper)
-    return SemistabilityVerdict("stable" if stable else "semistable", phi)
+    return SemistabilityVerdict("stable" if stable else "semistable", phi), first
 
 
 def _lattice_verdict(E: QuiverRep, zc: HeartCharge, Q: Quiver):
-    """The subobject lattice of E, its charge values and E's verdict."""
+    """The subobject lattice of E, its charge values, E's verdict and the
+    entry index of E's maximal destabilizer."""
     if E.is_zero():
         raise InputError("the zero representation has no stability verdict")
     lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
     values = _charge_values(lat, zc)
-    return lat, values, _verdict(lat, values, zc)
+    return (lat, values, *_verdict(lat, values, zc))
 
 
 def is_semistable(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> SemistabilityVerdict:
@@ -265,15 +275,18 @@ def hn_filtration(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> HNResult:
     )
 
 
-def _hn_phase_range(lat: SubobjectLattice, zc: HeartCharge) -> tuple:
-    """Phases of the first and the last HN factor of lat.E, and whether
-    lat.E is semistable (its HN chain has a single factor)."""
+def _hn_extremes(lat: SubobjectLattice, zc: HeartCharge) -> tuple:
+    """Classes of the first and the last HN factor of lat.E.  They are
+    equal iff lat.E is semistable: the phases of two or more factors
+    strictly decrease, so their classes differ."""
     chain = _hn_chain(lat, _charge_values(lat, zc))
-    top = zc.phase(lat.interval_quotient_class(chain[0], chain[1]))
-    if len(chain) == 2:
-        return top, top, True
-    bottom = zc.phase(lat.interval_quotient_class(chain[-2], chain[-1]))
-    return top, bottom, False
+    top = lat.interval_quotient_class(chain[0], chain[1])
+    return top, lat.interval_quotient_class(chain[-2], chain[-1])
+
+
+def _phases(zc: HeartCharge, classes) -> dict:
+    """class -> zc.phase(class), each distinct class once."""
+    return {cls: zc.phase(cls) for cls in dict.fromkeys(classes)}
 
 
 def hn_oracle(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> list:
@@ -311,7 +324,7 @@ def hn_oracle(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> list:
 def jh_filtration(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> list:
     """Stable factors (with multiplicity) of a semistable representation,
     all of the same phase; the multiset is unique, the chain is not."""
-    lat, values, verdict = _lattice_verdict(E, zc, Q)
+    lat, values, verdict, _ = _lattice_verdict(E, zc, Q)
     if not verdict.is_semistable():
         raise InputError("Jordan-Holder refinement needs a semistable input")
     top_val = values[lat.top]
@@ -335,7 +348,7 @@ def jh_filtration(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> list:
 def jh_oracle(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> set:
     """The set of stable-factor multisets over all maximal same-phase
     chains (should be a single multiset)."""
-    lat, values, verdict = _lattice_verdict(E, zc, Q)
+    lat, values, verdict, _ = _lattice_verdict(E, zc, Q)
     if not verdict.is_semistable():
         raise InputError("oracle needs a semistable input")
     top_val = values[lat.top]
@@ -569,16 +582,25 @@ def slicing_distance(
     Cross-checked against the inf-formula (smallest eps with every
     zc2-semistable object squeezed into a zc2-phase +- eps window of
     zc1-phases) restricted to the same object set; the two must agree.
+
+    Both depend on a rep only through the classes of its extreme HN
+    factors under each charge, so they run once per distinct class tuple,
+    in first-seen order (which keeps max's choice among equal values).
     """
-    sup: Optional[PhaseValue] = None
-    inf_formula: Optional[PhaseValue] = None
+    extremes = {}  # (top1, bot1, top2, bot2) classes, first-seen order
     for E in enumerate_reps(Q, max_dims):
         lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
-        top1, bot1, _ = _hn_phase_range(lat, zc1)
-        top2, bot2, semistable2 = _hn_phase_range(lat, zc2)
+        extremes[_hn_extremes(lat, zc1) + _hn_extremes(lat, zc2)] = None
+    phases1 = _phases(zc1, (c for key in extremes for c in key[:2]))
+    phases2 = _phases(zc2, (c for key in extremes for c in key[2:]))
+    sup: Optional[PhaseValue] = None
+    inf_formula: Optional[PhaseValue] = None
+    for c_top1, c_bot1, c_top2, c_bot2 in extremes:
+        top1, bot1 = phases1[c_top1], phases1[c_bot1]
+        top2, bot2 = phases2[c_top2], phases2[c_bot2]
         local = max(abs(top1 - top2), abs(bot1 - bot2))
         sup = local if sup is None else max(sup, local)
-        if semistable2:
+        if c_top2 == c_bot2:  # E is zc2-semistable
             eps_e = max(top1 - top2, bot2 - bot1)
             inf_formula = eps_e if inf_formula is None else max(inf_formula, eps_e)
     if sup is None:
@@ -734,7 +756,7 @@ def slicing_hom_vanishing(
     bounded set; returns (pairs checked, failures)."""
     semis = []
     for E in enumerate_reps(Q, max_dims):
-        lat, values, v = _lattice_verdict(E, zc, Q)
+        lat, values, v, _ = _lattice_verdict(E, zc, Q)
         if v.is_semistable():
             semis.append((E, values[lat.top]))
     checked, failures = _hom_vanishing(semis, Q)
@@ -765,12 +787,11 @@ def hom_principles_check(
     reps = []  # (E, verdict, integer charge value of E)
     unsplit = []  # unstable E that do not split against their maximal destabilizer
     for E in enumerate_reps(Q, max_dims):
-        lat, values, v = _lattice_verdict(E, zc, Q)
+        lat, values, v, first = _lattice_verdict(E, zc, Q)
         reps.append((E, v, values[lat.top]))
         if v.status == "unstable":
-            # the witness is E's maximal destabilizer, the first step of
-            # its HN chain: a proper nonzero subobject
-            first = _max_destabilizer(lat, values, lat.bottom)
+            # the witness is E's maximal destabilizer entries[first], the
+            # first step of its HN chain: a proper nonzero subobject
             if hom_space(v.witness, lat.quotient_rep(first), Q)[0] != 0:
                 unsplit.append(E.dims)
     semis = [(E, val) for E, v, val in reps if v.is_semistable()]
@@ -870,23 +891,27 @@ def local_finiteness_probe(
     eta = as_fraction(eta)
     if eta <= 0:
         raise InputError("eta must be positive")
-    phases = []
-    objects = []
+    groups = {}  # (top, bottom) HN factor classes -> [object count, max total dim]
     for E in enumerate_reps(Q, max_dims):
         lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
-        top, bot, semistable = _hn_phase_range(lat, zc)
-        objects.append((E, top, bot))
-        if semistable and not any((top - q).sign() == 0 for q in phases):
-            phases.append(top)
+        group = groups.setdefault(_hn_extremes(lat, zc), [0, 0])
+        group[0] += 1
+        group[1] = max(group[1], E.total_dim())
+    phase = _phases(zc, (c for key in groups for c in key))
+    phases = []  # the distinct phases of semistable objects, first-seen order
+    for top, bot in groups:
+        if top == bot and not any((phase[top] - q).sign() == 0 for q in phases):
+            phases.append(phase[top])
     slices = []
     for phi in phases:
+        upper, lower = phi + eta, phi - eta
         members = [
-            E
-            for E, top, bot in objects
-            if (top - (phi + eta)).sign() < 0 and (bot - (phi - eta)).sign() > 0
+            group
+            for (top, bot), group in groups.items()
+            if (phase[top] - upper).sign() < 0 and (phase[bot] - lower).sign() > 0
         ]
-        max_dim = max((E.total_dim() for E in members), default=0)
-        slices.append((float(phi), len(members), max_dim))
+        max_dim = max((dim for _, dim in members), default=0)
+        slices.append((float(phi), sum(count for count, _ in members), max_dim))
     return LocalFinitenessReport(
         eta=eta,
         slices=tuple(slices),

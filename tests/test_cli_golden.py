@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 K3 = str(ROOT / "configs" / "k3_rank1.json")
 A2 = str(ROOT / "configs" / "a2.json")
+KRONECKER = str(ROOT / "configs" / "kronecker.json")
 
 COMMANDS = [
     ["k3", "scan", "--lattice", K3, "--B", "0", "--omega", "t*h",
@@ -33,6 +34,8 @@ COMMANDS = [
     ["k3", "normalize", "--lattice", K3, "--re", "1,0,-9/4", "--im", "0,3/2,0"],
     ["quiver", "hn", "--config", A2, "--rep", "dims=[1,1];f=[[1]]"],
     ["quiver", "check", "--config", A2, "--suite", "gp", "--bound", "2,2"],
+    ["quiver", "check", "--config", KRONECKER, "--suite", "slicing", "--bound", "2,2"],
+    ["quiver", "check", "--config", A2, "--suite", "local-finiteness", "--bound", "2,2"],
     ["quiver", "deform", "--config", A2, "--eps", "1/8", "--bound", "2,2",
      "--perturb", "0:1/10,0"],
     ["quiver", "deform", "--config", A2, "--eps", "1/4", "--bound", "2,2",
@@ -68,7 +71,15 @@ def _key(argv) -> str:
     return " ".join(a.replace(str(ROOT) + os.sep, "") for a in argv)
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(c[:2]) for c in COMMANDS])
+def _id(argv) -> str:
+    """The subcommand, and the suite of a sweep other than gp."""
+    words = argv[:2]
+    if "--suite" in argv and argv[argv.index("--suite") + 1] != "gp":
+        words = words + [argv[argv.index("--suite") + 1]]
+    return " ".join(words)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[_id(c) for c in COMMANDS])
 def test_readme_command_matches_golden(argv, tmp_path, monkeypatch):
     monkeypatch.delenv("STABKIT_BOUND", raising=False)
     golden = json.loads(GOLDEN.read_text())

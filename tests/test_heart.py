@@ -36,6 +36,7 @@ from stabkit.quiver import (
 )
 
 F = Fraction
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -340,6 +341,60 @@ class TestTilt:
         assert counts == alone
 
 
+def _reference_slicing_distance(zc1, zc2, Q, max_dims):
+    """The sup and inf formulas of the slicing distance, one rep at a
+    time, from each rep's HN filtrations."""
+    sup = inf_formula = None
+    for E in enumerate_reps(Q, max_dims):
+        hn1, hn2 = hn_filtration(E, zc1, Q), hn_filtration(E, zc2, Q)
+        top1, bot1 = hn1.phase_top(), hn1.phase_bottom()
+        top2, bot2 = hn2.phase_top(), hn2.phase_bottom()
+        local = max(abs(top1 - top2), abs(bot1 - bot2))
+        sup = local if sup is None else max(sup, local)
+        if len(hn2.factors) == 1:
+            eps_e = max(top1 - top2, bot2 - bot1)
+            inf_formula = eps_e if inf_formula is None else max(inf_formula, eps_e)
+    assert (sup - inf_formula).sign() == 0
+    return sup
+
+
+def _charge(*values):
+    return HeartCharge([RatComplex(F(re), F(im)) for re, im in values])
+
+
+_TIE_PAIR = (_charge((-1, 1), (-1, 1)), _charge((-1, 0), (0, 1)))
+
+
+def _slicing_cases():
+    """(quiver, bound, charge pairs): pairs with a swapped, a rotated, a
+    fractional and a negative-axis charge, and on two vertices a pair
+    whose maximum is reached by two canonical forms of one value."""
+    a2 = Quiver(2, [(0, 1)], 2)
+    a2_f3 = Quiver(2, [(0, 1)], 3)
+    a3 = Quiver(3, [(0, 1), (1, 2)], 2)
+    k2, z_k2 = load_quiver_config(CONFIGS / "kronecker.json")
+    z_a2 = _charge((-1, 1), (1, 1))
+    two_vertex = [
+        (z_a2, _charge((1, 1), (-1, 1))),
+        (z_a2, z_a2.rotated(F(1, 6))),
+        (_charge(("-2/3", "1/5"), ("3/7", "5/2")), _charge(("-1/2", 0), ("1/3", "2/5"))),
+        _TIE_PAIR,
+    ]
+    z_a3 = _charge((-1, 1), (0, 1), (1, 1))
+    three_vertex = [
+        (z_a3, _charge((1, 1), (0, 1), (-1, 1))),
+        (z_a3, z_a3.rotated(F(-1, 4))),
+        (_charge(("-2/3", "1/5"), (0, "1/2"), ("3/7", "5/2")), _charge((-2, 0), (1, 3), (-1, 2))),
+        (_charge((-1, 1), (-1, 1), (0, 1)), _charge((0, 1), (-1, 0), (0, 1))),
+    ]
+    return [
+        pytest.param(a2, (2, 2), two_vertex, id="a2"),
+        pytest.param(k2, (2, 2), [(z_k2, z2) for _, z2 in two_vertex], id="kronecker"),
+        pytest.param(a3, (1, 2, 1), three_vertex, id="a3"),
+        pytest.param(a2_f3, (1, 2), two_vertex, id="a2-f3"),
+    ]
+
+
 class TestSlicingDistance:
     def test_zero(self, a2, z_std):
         assert slicing_distance(z_std, z_std, a2, (2, 2)) == F(0)
@@ -371,6 +426,22 @@ class TestSlicingDistance:
         for i, j, k in itertools.permutations(range(3)):
             # d(i,k) <= d(i,j) + d(j,k), decided exactly
             assert (ds[(i, j)] + ds[(j, k)] - ds[(i, k)]).sign() >= 0
+
+    @pytest.mark.parametrize("Q, max_dims, pairs", _slicing_cases())
+    def test_matches_per_rep_reference(self, Q, max_dims, pairs):
+        for zc1, zc2 in pairs:
+            got = slicing_distance(zc1, zc2, Q, max_dims)
+            ref = _reference_slicing_distance(zc1, zc2, Q, max_dims)
+            assert got.to_json() == ref.to_json()
+
+    def test_tie_keeps_the_first_maximal_form(self, a2):
+        # S1 and S2 reach the distance 1/4 in different canonical forms;
+        # the first rep enumerated, S2, sets the returned form
+        zc1, zc2 = _TIE_PAIR
+        got = slicing_distance(zc1, zc2, a2, (1, 1))
+        assert got == F(1, 4)
+        assert got.to_json() == {"offset": "1/2", "dir": [1, -1]}
+        assert got.to_json() == _reference_slicing_distance(zc1, zc2, a2, (1, 1)).to_json()
 
 
 class TestNormAndMass:
@@ -459,8 +530,22 @@ class TestPrinciples:
         assert rep.ok
         assert len({id(E) for E in endo_calls}) == len(endo_calls) > 0
 
+    def test_one_destabilizer_scan_per_rep(self, monkeypatch):
+        # the split check of an unstable rep reuses its verdict's scan
+        Q, zc = load_quiver_config(CONFIGS / "kronecker.json")
+        scans = []
+        max_destabilizer = heart._max_destabilizer
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+        def counting(lat, values, current):
+            scans.append(current)
+            return max_destabilizer(lat, values, current)
+
+        monkeypatch.setattr(heart, "_max_destabilizer", counting)
+        rep = hom_principles_check(zc, Q, (2, 2))
+        reps = list(enumerate_reps(Q, (2, 2)))
+        assert rep.ok
+        assert len(scans) == len(reps)
+        assert sum(1 for E in reps if not is_semistable(E, zc, Q).is_semistable()) > 0
 
 
 def _order_cases():
