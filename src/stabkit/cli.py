@@ -668,10 +668,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ResourceBound, ExactnessError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError, SyntaxError) as exc:
+    except (
+        InputError, ResourceBound, ExactnessError,
+        OSError, json.JSONDecodeError, ValueError, SyntaxError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # InvariantError and every other defect

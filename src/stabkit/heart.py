@@ -36,6 +36,8 @@ from .quiver import (
     Quiver,
     QuiverRep,
     SubobjectLattice,
+    _hom_combinations,
+    _rep_in_bases,
     enumerate_reps,
     ext1_dim,
     euler_pairing,
@@ -417,7 +419,7 @@ def torsion_cut(
             break
     sub = lat.sub_rep(chain[cut])
     quo = lat.quotient_rep(chain[cut])
-    hom_dim, _ = hom_space(sub, quo, Q) if not sub.is_zero() and not quo.is_zero() else (0, [])
+    hom_dim, _ = hom_space(sub, quo, Q)
     return TorsionCut(sub, sub.dims, quo, quo.dims, hom_dim == 0)
 
 
@@ -460,7 +462,7 @@ def _torsion_pair(
 
     classes = reps, t_list, in_f
     # axiom i is built into the definition of F = T-perp; spot-check the
-    # predicate's iso-closure by permuting coordinates via base change
+    # predicate's iso-closure by a unitriangular base change
     for T in t_list[:4]:
         conj = _conjugate_rep(T, Q)
         if not t_predicate(conj):
@@ -489,42 +491,14 @@ def _torsion_pair(
 
 
 def _conjugate_rep(E: QuiverRep, Q: Quiver) -> QuiverRep:
-    """Base change by a deterministic invertible matrix at each vertex."""
-    p = Q.p
-
-    def change(d):
-        # unitriangular with ones on the superdiagonal
-        return [[1 if i == j else (1 if j == i + 1 else 0) for j in range(d)] for i in range(d)]
-
-    def inv(mat, d):
-        # inverse of the unitriangular matrix above (alternating signs)
-        out = [[0] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(i, d):
-                out[i][j] = ((-1) ** (j - i)) % p
-        return out
-
-    mats = []
-    for idx, (a, b) in enumerate(Q.arrows):
-        m = E.mats[idx]
-        gb = change(E.dims[b])
-        ga_inv = inv(change(E.dims[a]), E.dims[a])
-        prod = [
-            [
-                sum(gb[i][k] * m[k][l] * 1 for k in range(E.dims[b])) % p
-                for l in range(E.dims[a])
-            ]
-            for i in range(E.dims[b])
-        ]
-        prod2 = [
-            [
-                sum(prod[i][k] * ga_inv[k][j] for k in range(E.dims[a])) % p
-                for j in range(E.dims[a])
-            ]
-            for i in range(E.dims[b])
-        ]
-        mats.append(tuple(tuple(row) for row in prod2))
-    return QuiverRep(E.dims, tuple(mats), Q)
+    """Base change by a deterministic invertible matrix at each vertex:
+    E in the columns of g^-1, for g unitriangular with ones on the
+    superdiagonal, so that E_a becomes g_b E_a g_a^-1."""
+    inverse_columns = [
+        [tuple((-1) ** (j - i) % Q.p if i <= j else 0 for i in range(d)) for j in range(d)]
+        for d in E.dims
+    ]
+    return _rep_in_bases(E, Q, inverse_columns)
 
 
 @dataclass(frozen=True)
@@ -703,7 +677,6 @@ def deformation_test(
     if wc.rot == zc.rot:
         diff = tuple(w - z for w, z in zip(wc.z, zc.z))
         norm = stability_norm(diff, zc, Q, max_dims)
-        within = norm.less_than_sin_pi(eps)
     elif wc.z == zc.z:
         delta = wc.rot - zc.rot
         # |e^{i pi d} - 1|^2 = 2 - 2 cos(pi d), uniform over every class
@@ -711,13 +684,12 @@ def deformation_test(
         norm = NormValue(
             norm_sq.as_fraction() if norm_sq.is_rational() else norm_sq, True
         )
-        within = sin2_pi(eps)._cmp(norm_sq) > 0
     else:
         raise ExactnessError(
             "deformation_test supports coefficient perturbations at equal "
             "rotation, or pure rotations of one charge"
         )
-    if not within:
+    if not norm.less_than_sin_pi(eps):
         return DeformationReport(
             False, norm=norm, note="norm >= sin(pi eps): hypothesis not met"
         )
@@ -819,51 +791,19 @@ def hom_principles_check(
     return PrinciplesReport(not failures, checked, tuple(failures))
 
 
+def _is_iso(phis, p: int) -> bool:
+    """Whether the map (phi_v) is invertible at every vertex."""
+    return all(mat_is_invertible(phi, p) for phi in phis)
+
+
 def _span_contains_iso(basis, Q: Quiver) -> bool:
     """Whether some F_p-combination of the Hom basis is invertible at every
     vertex (the basis is small: brute force over the span)."""
-    if not basis:
-        return False
-    p = Q.p
-    k = len(basis)
-    for coeffs in itertools.product(range(p), repeat=k):
-        if all(c == 0 for c in coeffs):
-            continue
-        phis = _combine(basis, coeffs, p)
-        if all(mat_is_invertible(phi, p) for phi in phis):
-            return True
-    return False
+    return any(_is_iso(phis, Q.p) for phis in _hom_combinations(basis, Q.p))
 
 
 def _all_nonzero_invertible(basis, Q: Quiver) -> bool:
-    if not basis:
-        return True
-    p = Q.p
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        if all(c == 0 for c in coeffs):
-            continue
-        phis = _combine(basis, coeffs, p)
-        if any(any(any(x for x in row) for row in phi) for phi in phis):
-            if not all(mat_is_invertible(phi, p) for phi in phis):
-                return False
-    return True
-
-
-def _combine(basis, coeffs, p):
-    n_v = len(basis[0])
-    out = []
-    for v in range(n_v):
-        rows = len(basis[0][v])
-        cols = len(basis[0][v][0]) if rows else 0
-        mat = [[0] * cols for _ in range(rows)]
-        for c, phis in zip(coeffs, basis):
-            if c == 0:
-                continue
-            for i in range(rows):
-                for j in range(cols):
-                    mat[i][j] = (mat[i][j] + c * phis[v][i][j]) % p
-        out.append(tuple(tuple(row) for row in mat))
-    return out
+    return all(_is_iso(phis, Q.p) for phis in _hom_combinations(basis, Q.p))
 
 
 @dataclass(frozen=True)

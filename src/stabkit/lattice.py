@@ -653,15 +653,11 @@ def tensor_line_bundle(B, v: MukaiVector, lat: NSLattice) -> MukaiVector:
 
 def exp_action_matrix(B, lat: NSLattice) -> list[list]:
     """Matrix of tensor_line_bundle(B, .) on N(X); columns are basis images."""
-    cols = [tensor_line_bundle(B, e, lat).coords() for e in basis_vectors(lat)]
-    n = lat.mukai_rank
-    return [[as_fraction(cols[j][i]) for j in range(n)] for i in range(n)]
+    return isometry_matrix([tensor_line_bundle(B, e, lat) for e in basis_vectors(lat)], lat)
 
 
 def reflection_matrix(delta: MukaiVector, lat: NSLattice) -> list[list]:
-    cols = [reflection(delta, e, lat).coords() for e in basis_vectors(lat)]
-    n = lat.mukai_rank
-    return [[as_fraction(cols[j][i]) for j in range(n)] for i in range(n)]
+    return isometry_matrix([reflection(delta, e, lat) for e in basis_vectors(lat)], lat)
 
 
 def is_mukai_isometry(images: Sequence[MukaiVector], lat: NSLattice) -> bool:

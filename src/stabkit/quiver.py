@@ -346,6 +346,22 @@ def hom_space(E: QuiverRep, F: QuiverRep, Q: Quiver) -> tuple[int, list]:
     return len(kernel), basis
 
 
+def _hom_combinations(basis: Sequence[tuple], p: int) -> Iterator[tuple]:
+    """Every nonzero F_p-combination of a hom_space basis, as a tuple of
+    matrices (phi_v).  The basis is linearly independent, so none of them
+    is the zero map."""
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        if not any(coeffs):
+            continue
+        yield tuple(
+            tuple(
+                tuple(sum(c * x for c, x in zip(coeffs, xs)) % p for xs in zip(*rows))
+                for rows in zip(*mats)
+            )
+            for mats in zip(*basis)
+        )
+
+
 def ext1_dim(E: QuiverRep, F: QuiverRep, Q: Quiver) -> int:
     """dim Ext^1(E, F), from the two-term resolution: the cokernel of
     (phi_v) |-> (F_a phi_src - phi_tgt E_a).  Independent of the Euler
@@ -420,10 +436,7 @@ class SubobjectLattice:
         # deterministic order: total dim, then dims, then space indices
         entries.sort(key=lambda s: (s.total_dim(), s.dims, s.space_idx))
         self.entries = entries
-        self._index = {e.space_idx: i for i, e in enumerate(entries)}
-        self.bottom = self._index[tuple(0 for _ in range(Q.n))]
-        top_choice = tuple(len(per_vertex[v]) - 1 for v in range(Q.n))
-        self.top = self._index[top_choice]
+        self.bottom, self.top = 0, len(entries) - 1
         self.above, self.below = self._containment_masks(
             [subspace_leq_table(d, p) for d in E.dims]
         )
@@ -472,12 +485,13 @@ class SubobjectLattice:
 
     def sub_rep(self, i: int) -> QuiverRep:
         """The subobject as a representation, in its own basis."""
-        bases = self.basis_of(i)
-        return _restricted_rep(self.E, self.Q, bases)
+        return _rep_in_bases(self.E, self.Q, self.basis_of(i))
 
     def quotient_rep(self, i: int) -> QuiverRep:
+        """E modulo the subobject, in a completion of the subobject's basis."""
         bases = self.basis_of(i)
-        return _quotient_rep(self.E, self.Q, bases)
+        added = [_extend_basis(b, d, self.Q.p) for b, d in zip(bases, self.E.dims)]
+        return _rep_in_bases(self.E, self.Q, added, bases)
 
     def interval_quotient_class(self, lo: int, hi: int) -> tuple:
         """Dimension vector of entries[hi]/entries[lo] (assumes lo <= hi)."""
@@ -503,21 +517,26 @@ def _solve_in_basis(basis: Sequence[tuple], target: tuple, p: int) -> list[int]:
     return coords
 
 
-def _restricted_rep(E: QuiverRep, Q: Quiver, bases: Sequence[tuple]) -> QuiverRep:
+def _rep_in_bases(
+    E: QuiverRep, Q: Quiver, bases: Sequence[tuple], dropped=None
+) -> QuiverRep:
+    """E written in the vectors bases[v] at each vertex v, modulo the span
+    of dropped[v] (nothing by default).  Each arrow a -> b takes bases[a]
+    through E_a, reads the coordinates of the images in the basis
+    dropped[b] + bases[b] and drops the leading len(dropped[b]) of them;
+    the images must lie in that span."""
     p = Q.p
-    dims = tuple(len(b) for b in bases)
+    if dropped is None:
+        dropped = [()] * Q.n
     mats = []
     for idx, (a, b) in enumerate(Q.arrows):
-        mat = E.mats[idx]
-        cols = []
-        for v in bases[a]:
-            img = mat_apply(mat, v, p)
-            cols.append(_solve_in_basis(bases[b], img, p))
-        rows = tuple(
-            tuple(cols[j][i] for j in range(dims[a])) for i in range(dims[b])
-        )
-        mats.append(rows)
-    return QuiverRep(dims, tuple(mats), Q)
+        target = tuple(dropped[b]) + tuple(bases[b])
+        cols = [
+            _solve_in_basis(target, mat_apply(E.mats[idx], v, p), p)[len(dropped[b]):]
+            for v in bases[a]
+        ]
+        mats.append(tuple(tuple(c[i] for c in cols) for i in range(len(bases[b]))))
+    return QuiverRep(tuple(len(x) for x in bases), tuple(mats), Q)
 
 
 def _extend_basis(basis: Sequence[tuple], d: int, p: int) -> list[tuple]:
@@ -534,29 +553,6 @@ def _extend_basis(basis: Sequence[tuple], d: int, p: int) -> list[tuple]:
             current.append(list(v))
             added.append(v)
     return added
-
-
-def _quotient_rep(E: QuiverRep, Q: Quiver, bases: Sequence[tuple]) -> QuiverRep:
-    p = Q.p
-    full_bases = []
-    added = []
-    for v in range(Q.n):
-        extra = _extend_basis(bases[v], E.dims[v], p)
-        added.append(extra)
-        full_bases.append(list(bases[v]) + extra)
-    dims = tuple(len(a) for a in added)
-    mats = []
-    for idx, (a, b) in enumerate(Q.arrows):
-        mat = E.mats[idx]
-        cols = []
-        for v in added[a]:
-            img = mat_apply(mat, v, p)
-            coords = _solve_in_basis(tuple(full_bases[b]), img, p)
-            # quotient coordinates: drop the subspace components
-            cols.append(coords[len(bases[b]):])
-        rows = tuple(tuple(cols[j][i] for j in range(dims[a])) for i in range(dims[b]))
-        mats.append(rows)
-    return QuiverRep(dims, tuple(mats), Q)
 
 
 # ---------------------------------------------------------------------------

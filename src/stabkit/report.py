@@ -27,9 +27,12 @@ def t_str(t) -> str:
 
 
 def t_json(t):
-    if isinstance(t, Quad) and not t.is_rational():
-        return t.to_json()
-    return frac_str(t.as_fraction() if isinstance(t, Quad) else t)
+    return t.to_json() if isinstance(t, Quad) else frac_str(t)
+
+
+def _class_json(v) -> dict:
+    """A Mukai class as {"r", "l", "s"} with integer entries."""
+    return {"r": int(v.r), "l": [int(x) for x in v.l], "s": int(v.s)}
 
 
 # ---------------------------------------------------------------------------
@@ -61,19 +64,12 @@ def walls_json(result: WallScanResult, header_note: str = "") -> str:
             {
                 "t": t_json(w.t),
                 "kind": w.kind,
-                "witness": {
-                    "r": int(w.witness.r),
-                    "l": [int(x) for x in w.witness.l],
-                    "s": int(w.witness.s),
-                },
+                "witness": _class_json(w.witness),
                 "k": None if w.detail is None else w.detail[1],
             }
             for w in result.walls
         ],
-        "degenerate_witnesses": [
-            {"r": int(d.r), "l": [int(x) for x in d.l], "s": int(d.s)}
-            for d in result.degenerate_witnesses
-        ],
+        "degenerate_witnesses": [_class_json(d) for d in result.degenerate_witnesses],
         "skipped_k": [
             {"t": t_json(t), "curve": [int(x) for x in c], "k": k}
             for t, c, k in result.skipped_k
@@ -280,7 +276,7 @@ def heart_image_json(report) -> str:
         "guard_truncated": report.guard.truncated,
         "violations": [
             {
-                "v": {"r": int(v.r), "l": [int(x) for x in v.l], "s": int(v.s)},
+                "v": _class_json(v),
                 "branch": branch,
                 "Z": [frac_str(z.re), frac_str(z.im)],
             }

@@ -304,6 +304,20 @@ class TestTorsionPairs:
         assert rep.axiom == "decomposition"
         assert rep.witness.dims == (1, 0)
 
+    def test_predicate_not_closed_under_isomorphism(self, a2):
+        # one matrix of a (1, 2) rep but not its base change: a vertex of
+        # dimension 1 only has the identity to change by
+        M = ((0,), (1,))
+
+        def one_matrix(E):
+            return E.dims == (1, 2) and E.mats == (M,)
+
+        rep = torsion_pair_verify(one_matrix, a2, (2, 2))
+        assert not rep.ok
+        assert rep.axiom == "iso-closure"
+        assert rep.witness == QuiverRep((1, 2), (M,), a2)
+        assert not one_matrix(heart._conjugate_rep(rep.witness, a2))
+
 
 class TestTilt:
     def test_degenerate_identity(self, a2):
@@ -508,6 +522,24 @@ class TestPrinciples:
     def test_swapped_charge(self, a2, z_swapped):
         rep = hom_principles_check(z_swapped, a2, (2, 2))
         assert rep.ok
+
+    def test_schur_checks_on_hom_spans(self, a2, S1, S2, P):
+        # Hom(S2, P) is spanned by the socle inclusion, which is no
+        # isomorphism; End(S1 + S1) = M_2(F_2) holds the identity and
+        # nonzero maps that are not invertible; End(P) = F_2
+        socle = heart.hom_space(S2, P, a2)[1]
+        assert len(socle) == 1
+        assert not heart._span_contains_iso(socle, a2)
+        SS = direct_sum(a2, S1, S1)
+        matrices = heart.hom_space(SS, SS, a2)[1]
+        assert len(matrices) == 4
+        assert heart._span_contains_iso(matrices, a2)
+        assert not heart._all_nonzero_invertible(matrices, a2)
+        scalars = heart.hom_space(P, P, a2)[1]
+        assert heart._span_contains_iso(scalars, a2)
+        assert heart._all_nonzero_invertible(scalars, a2)
+        assert not heart._span_contains_iso([], a2)
+        assert heart._all_nonzero_invertible([], a2)
 
     def test_each_hom_space_once_and_no_hn_chain(self, monkeypatch):
         # an unstable rep splits against its verdict's witness, so no HN

@@ -8,8 +8,10 @@ from stabkit.quiver import (
     QuiverRep,
     ResourceBound,
     SubobjectLattice,
+    _hom_combinations,
     _solve_in_basis,
     count_reps,
+    enumerate_matrices,
     enumerate_reps,
     ext1_dim,
     euler_pairing,
@@ -96,6 +98,17 @@ class TestHomSpace:
 
     def test_end_of_indecomposable(self, a2, P):
         assert hom_space(P, P, a2)[0] == 1
+
+    def test_combinations_walk_the_nonzero_span(self, a2, S1):
+        # End(S1 + S1) is every 2x2 matrix at vertex 0
+        SS = S1.direct_sum(S1, a2)
+        _, basis = hom_space(SS, SS, a2)
+        maps = list(_hom_combinations(basis, a2.p))
+        assert len(maps) == len(set(maps)) == 2**4 - 1
+        zero = ((0, 0), (0, 0))
+        assert set(maps) == {
+            (m, ()) for m in enumerate_matrices(2, 2, 2) if m != zero
+        }
 
 
 class TestEulerForm:
