@@ -50,13 +50,22 @@ def _charge_values(lat: SubobjectLattice, zc: HeartCharge) -> list:
     """The integer charge value (x, y) of every lattice entry, so that
     every phase comparison inside the HN machinery is a single integer
     cross product: phi(a) < phi(b) iff a.x b.y - a.y b.x > 0 on H-bar.
+    Every entry has the length of lat.E.dims, so that is checked once.
     """
+    zint = zc._zint
+    if len(lat.E.dims) != len(zint):
+        raise InputError("dimension vector length disagrees with the charge")
     by_dims = {}
     values = []
     for ent in lat.entries:
-        if ent.dims not in by_dims:
-            by_dims[ent.dims] = zc._value(ent.dims)
-        values.append(by_dims[ent.dims])
+        dims = ent.dims
+        if dims not in by_dims:
+            x = y = 0
+            for d, (zx, zy) in zip(dims, zint):
+                x += d * zx
+                y += d * zy
+            by_dims[dims] = x, y
+        values.append(by_dims[dims])
     return values
 
 
@@ -124,17 +133,12 @@ class HeartCharge:
                 total = total + zv.scale(d)
         return total
 
-    def _value(self, dims: Sequence[int]) -> tuple:
-        """The base value of dims times the cleared denominator, as an
-        integer pair (x, y)."""
+    def phase(self, dims: Sequence[int]) -> PhaseValue:
         if len(dims) != len(self._zint):
             raise InputError("dimension vector length disagrees with the charge")
+        # the base value of dims times the cleared denominator
         x = sum(d * zv[0] for d, zv in zip(dims, self._zint))
         y = sum(d * zv[1] for d, zv in zip(dims, self._zint))
-        return x, y
-
-    def phase(self, dims: Sequence[int]) -> PhaseValue:
-        x, y = self._value(dims)
         if x == 0 and y == 0:
             raise InputError("zero class has no phase")
         if y < 0 or (y == 0 and x > 0):
@@ -168,10 +172,15 @@ class SemistabilityVerdict:
 def _max_destabilizer(lat: SubobjectLattice, values: list, current: int) -> int:
     """The subobject strictly above `current` whose quotient class has
     maximal phase, ties broken by maximal total dimension and then the
-    deterministic lattice order."""
+    deterministic lattice order.  Above the zero subobject lies every
+    other entry, so that scan reads no containment mask."""
+    if current == lat.bottom:
+        above = range(lat.bottom + 1, lat.top + 1)
+    else:
+        above = _bits(lat.above[current])
     best = None
     best_cls = None
-    for j in _bits(lat.above[current]):
+    for j in above:
         cv = _cls(values, current, j)
         if best is None:
             best, best_cls = j, cv
@@ -186,36 +195,38 @@ def _max_destabilizer(lat: SubobjectLattice, values: list, current: int) -> int:
     return best
 
 
-def _verdict(lat: SubobjectLattice, values: list, zc: HeartCharge) -> tuple:
-    """Semistability of lat.E against every proper nonzero subobject, and
-    the entry index of E's maximal destabilizer, which is the witness of
-    instability."""
-    phi = zc.phase(lat.E.dims)
+def _verdict(lat: SubobjectLattice, values: list) -> tuple:
+    """The status of lat.E against every proper nonzero subobject
+    ('stable', 'semistable' or 'unstable'), and the entry index of E's
+    maximal destabilizer, the witness of instability."""
     top_val = values[lat.top]
     first = _max_destabilizer(lat, values, lat.bottom)
     if _cross(top_val, values[first]) > 0:  # phi(E) < phi(first)
-        verdict = SemistabilityVerdict(
-            "unstable", phi, lat.sub_rep(first), lat.entries[first].dims
-        )
-        return verdict, first
+        return "unstable", first
     proper = (v for i, v in enumerate(values) if i not in (lat.bottom, lat.top))
     stable = all(_cross(top_val, v) != 0 for v in proper)
-    return SemistabilityVerdict("stable" if stable else "semistable", phi), first
+    return "stable" if stable else "semistable", first
 
 
 def _lattice_verdict(E: QuiverRep, zc: HeartCharge, Q: Quiver):
-    """The subobject lattice of E, its charge values, E's verdict and the
+    """The subobject lattice of E, its charge values, E's status and the
     entry index of E's maximal destabilizer."""
     if E.is_zero():
         raise InputError("the zero representation has no stability verdict")
     lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
     values = _charge_values(lat, zc)
-    return (lat, values, *_verdict(lat, values, zc))
+    return (lat, values, *_verdict(lat, values))
 
 
 def is_semistable(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> SemistabilityVerdict:
     """Exhaustive check over all proper nonzero subobjects."""
-    return _lattice_verdict(E, zc, Q)[2]
+    lat, _, status, first = _lattice_verdict(E, zc, Q)
+    phi = zc.phase(E.dims)
+    if status == "unstable":
+        return SemistabilityVerdict(
+            status, phi, lat.sub_rep(first), lat.entries[first].dims
+        )
+    return SemistabilityVerdict(status, phi)
 
 
 @dataclass(frozen=True)
@@ -239,7 +250,8 @@ class HNResult:
 
 
 def _hn_chain(lat: SubobjectLattice, values: list) -> list:
-    """Entry indices of the greedy HN chain, bottom to top."""
+    """Entry indices of the greedy HN chain, bottom to top.  Every step
+    but the first reads lat.above (in _max_destabilizer)."""
     current = lat.bottom
     chain = [current]
     prev_cls = None
@@ -298,10 +310,11 @@ def hn_oracle(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> list:
     uniqueness says there is exactly one."""
     lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
     values = _charge_values(lat, zc)
+    above, below = lat.above, lat.below
 
     def factor_semistable(lo: int, hi: int) -> bool:
         base = _cls(values, lo, hi)
-        for mid in _bits(lat.above[lo] & lat.below[hi]):
+        for mid in _bits(above[lo] & below[hi]):
             if _cross(base, _cls(values, lo, mid)) > 0:  # sub phase above factor
                 return False
         return True
@@ -312,7 +325,7 @@ def hn_oracle(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> list:
         if current == lat.top:
             results.append(tuple(lat.entries[i].dims for i in chain))
             return
-        for nxt in _bits(lat.above[current]):
+        for nxt in _bits(above[current]):
             cv = _cls(values, current, nxt)
             if prev_cls is not None and _cross(cv, prev_cls) <= 0:
                 continue  # phases must strictly decrease along the chain
@@ -326,17 +339,18 @@ def hn_oracle(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> list:
 def jh_filtration(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> list:
     """Stable factors (with multiplicity) of a semistable representation,
     all of the same phase; the multiset is unique, the chain is not."""
-    lat, values, verdict, _ = _lattice_verdict(E, zc, Q)
-    if not verdict.is_semistable():
+    lat, values, status, _ = _lattice_verdict(E, zc, Q)
+    if status == "unstable":
         raise InputError("Jordan-Holder refinement needs a semistable input")
     top_val = values[lat.top]
+    above = lat.above
     factors = []
     current = lat.bottom
     while current != lat.top:
         # the minimal same-phase extension is a stable factor
         same_phase = [
             nxt
-            for nxt in _bits(lat.above[current])
+            for nxt in _bits(above[current])
             if _cross(_cls(values, current, nxt), top_val) == 0
         ]
         if not same_phase:
@@ -350,19 +364,20 @@ def jh_filtration(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> list:
 def jh_oracle(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> set:
     """The set of stable-factor multisets over all maximal same-phase
     chains (should be a single multiset)."""
-    lat, values, verdict, _ = _lattice_verdict(E, zc, Q)
-    if not verdict.is_semistable():
+    lat, values, status, _ = _lattice_verdict(E, zc, Q)
+    if status == "unstable":
         raise InputError("oracle needs a semistable input")
     top_val = values[lat.top]
+    above, below = lat.above, lat.below
     multisets = set()
 
     def minimal_extensions(lo: int):
         out = []
-        for hi in _bits(lat.above[lo]):
+        for hi in _bits(above[lo]):
             if _cross(_cls(values, lo, hi), top_val) != 0:
                 continue
             minimal = True
-            for mid in _bits(lat.above[lo] & lat.below[hi]):
+            for mid in _bits(above[lo] & below[hi]):
                 if _cross(_cls(values, lo, mid), top_val) == 0:
                     minimal = False
                     break
@@ -623,7 +638,7 @@ def stability_norm(
     for E in enumerate_reps(Q, max_dims):
         if E.dims in seen:
             continue
-        if not is_semistable(E, zc, Q).is_semistable():
+        if _lattice_verdict(E, zc, Q)[2] == "unstable":
             continue
         seen.add(E.dims)
         u = RatComplex(0, 0)
@@ -728,8 +743,8 @@ def slicing_hom_vanishing(
     bounded set; returns (pairs checked, failures)."""
     semis = []
     for E in enumerate_reps(Q, max_dims):
-        lat, values, v, _ = _lattice_verdict(E, zc, Q)
-        if v.is_semistable():
+        lat, values, status, _ = _lattice_verdict(E, zc, Q)
+        if status != "unstable":
             semis.append((E, values[lat.top]))
     checked, failures = _hom_vanishing(semis, Q)
     return checked, tuple(failures)
@@ -756,18 +771,18 @@ def hom_principles_check(
     iv) every unstable object splits against its maximal destabilizer
         with vanishing Hom.
     """
-    reps = []  # (E, verdict, integer charge value of E)
+    reps = []  # (E, status, integer charge value of E)
     unsplit = []  # unstable E that do not split against their maximal destabilizer
     for E in enumerate_reps(Q, max_dims):
-        lat, values, v, first = _lattice_verdict(E, zc, Q)
-        reps.append((E, v, values[lat.top]))
-        if v.status == "unstable":
+        lat, values, status, first = _lattice_verdict(E, zc, Q)
+        reps.append((E, status, values[lat.top]))
+        if status == "unstable":
             # the witness is E's maximal destabilizer entries[first], the
             # first step of its HN chain: a proper nonzero subobject
-            if hom_space(v.witness, lat.quotient_rep(first), Q)[0] != 0:
+            if hom_space(lat.sub_rep(first), lat.quotient_rep(first), Q)[0] != 0:
                 unsplit.append(E.dims)
-    semis = [(E, val) for E, v, val in reps if v.is_semistable()]
-    stables = [(E, val) for E, v, val in reps if v.status == "stable"]
+    semis = [(E, val) for E, status, val in reps if status != "unstable"]
+    stables = [(E, val) for E, status, val in reps if status == "stable"]
     checked, vanishing = _hom_vanishing(semis, Q)
     failures = [("hom-vanishing", *pair) for pair in vanishing]
     endos = []  # (E, basis of Hom(E, E)) per stable E, in order
@@ -786,7 +801,7 @@ def hom_principles_check(
         checked += 1
         if not _all_nonzero_invertible(basis, Q):
             failures.append(("endo-not-division", E.dims, None))
-    checked += sum(1 for _, v, _ in reps if v.status == "unstable")
+    checked += sum(1 for _, status, _ in reps if status == "unstable")
     failures.extend(("unstable-decomposition", dims, None) for dims in unsplit)
     return PrinciplesReport(not failures, checked, tuple(failures))
 

@@ -8,7 +8,11 @@ read off a projective resolution (the category is hereditary, so there
 is nothing above Ext^1).
 
 Everything is exact integer arithmetic mod p; the enumeration cost is
-controlled by a hard resource bound on the total dimension.
+controlled by a hard resource bound on the total dimension.  Hom and
+Ext^1 eliminate on packed rows, one Python int per nonzero value of F_p
+(a single bit plane over F_2), with one routine for every prime.  A
+subobject lattice fixes its containment order on first read, so a
+semistability verdict, which needs none, never builds it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import InvariantError, RatComplex
 from .lattice import InputError
@@ -34,51 +38,155 @@ MAX_VERTEX_DIM = 4  # subspace counts explode beyond F_p^4
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over F_p
+# linear algebra over F_p, on packed rows
+#
+# A row over F_p is packed into a tuple of p - 1 Python ints, its bit
+# planes: bit c of plane v - 1 is set iff the entry in column c is v.
+# The planes are disjoint, so their sum is the support of the row.  Over
+# F_2 a row is a single plane, and adding two rows XORs it.
 
 
-def rref_mod_p(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form mod p; returns (rows, pivot columns)."""
-    m = [[x % p for x in row] for row in rows]
-    if not m:
-        return [], []
-    cols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
+@functools.lru_cache(maxsize=None)
+def _field(p: int) -> tuple:
+    """F_p on bit planes: (inv, perm, sums).  inv[v] = 1/v; the planes of
+    g times a row x are x[perm[g][0]], x[perm[g][1]], ...; and sums[k]
+    lists the pairs (i, j) of planes whose values add up to that of
+    plane k."""
+    planes = range(p - 1)
+    inv = [0] + [pow(v, p - 2, p) for v in range(1, p)]
+    perm = [()] + [tuple((k + 1) * inv[g] % p - 1 for k in planes) for g in range(1, p)]
+    sums = tuple(
+        tuple((i, j) for i in planes for j in planes if (i + 1 + j + 1) % p == k + 1)
+        for k in planes
+    )
+    return inv, perm, sums
+
+
+def _pack(row: Sequence[int], p: int) -> tuple:
+    planes = [0] * (p - 1)
+    for c, x in enumerate(row):
+        if x % p:
+            planes[x % p - 1] |= 1 << c
+    return tuple(planes)
+
+
+def _entry(x: tuple, bit: int) -> int:
+    """The entry of the packed row x in the column of the single bit."""
+    for v, plane in enumerate(x, 1):
+        if plane & bit:
+            return v
+    return 0
+
+
+def _unpack(x: tuple, cols: int) -> list:
+    return [_entry(x, 1 << c) for c in range(cols)]
+
+
+def _axpy(x: tuple, g: int, y: tuple, perm, sums) -> tuple:
+    """x + g * y.  Scaling permutes the planes of y.  A column where one
+    of x and g * y is zero keeps the other's value; where both are
+    nonzero, plane k collects the plane pairs whose values add up to its
+    own."""
+    if g != 1:
+        y = tuple([y[k] for k in perm[g]])
+    one = ~(sum(x) & sum(y))
+    out = []
+    for a, b, pairs in zip(x, y, sums):
+        a = (a | b) & one
+        for i, j in pairs:
+            a |= x[i] & y[j]
+        out.append(a)
+    return tuple(out)
+
+
+def _echelon(rows: Iterable[tuple], cols: int, p: int) -> dict:
+    """Row echelon form of packed rows with cols columns, as a dict from
+    the bit of each pivot column to its pivot row, which has a 1 there
+    and zeros in the columns before it; its size is the rank.
+
+    Each row is cleared at the pivot columns found so far, lowest first;
+    what is left, if nonzero, is scaled to a leading 1 and becomes the
+    pivot row of its lowest column.  Stops once every column has a pivot.
+    """
+    inv, perm, sums = _field(p)
+    pivots = {}
+    mask = 0  # the bits of the pivot columns
+    for x in rows:
+        support = sum(x)
+        hit = support & mask
+        while hit:
+            low = hit & -hit
+            f = 1 if x[0] & low else _entry(x, low)  # plane 0 holds the 1s
+            x = _axpy(x, p - f, pivots[low], perm, sums)
+            support = sum(x)
+            hit = support & mask
+        if not support:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
+        low = support & -support
+        if not x[0] & low:
+            x = tuple([x[k] for k in perm[inv[_entry(x, low)]]])
+        pivots[low] = x
+        mask |= low
+        if len(pivots) == cols:
             break
-    return m[:r], pivots
+    return pivots
 
 
-def nullspace_mod_p(rows: list[list[int]], cols: int, p: int) -> list[list[int]]:
-    """Basis of the kernel of the matrix (rows x cols) over F_p."""
-    red, pivots = rref_mod_p(rows, p)
-    free = [c for c in range(cols) if c not in pivots]
+def _reduced(pivots: dict, p: int) -> tuple[list, list]:
+    """The reduced row echelon form from the pivot rows of _echelon, as
+    (rows, pivot columns) in the order of the pivots: each pivot row, last
+    first, is cleared out of the rows above it (in place)."""
+    _, perm, sums = _field(p)
+    bits = sorted(pivots)
+    for n in range(len(bits) - 1, 0, -1):
+        low = bits[n]
+        y = pivots[low]
+        for above in bits[:n]:
+            f = _entry(pivots[above], low)
+            if f:
+                pivots[above] = _axpy(pivots[above], p - f, y, perm, sums)
+    return [pivots[bit] for bit in bits], [bit.bit_length() - 1 for bit in bits]
+
+
+def _kernel(pivots: dict, cols: int, p: int) -> list[list[int]]:
+    """Basis of the kernel from the pivot rows of _echelon: one vector per
+    free column of the reduced form, 1 there and minus that column of the
+    form at the pivots."""
+    if len(pivots) == cols:
+        return []
+    red, pivot_cols = _reduced(pivots, p)
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivot_cols:
+            continue
         v = [0] * cols
         v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-red[i][fc]) % p
+        for x, pc in zip(red, pivot_cols):
+            f = _entry(x, 1 << fc)
+            if f:
+                v[pc] = p - f
         basis.append(v)
     return basis
 
 
+def rref_mod_p(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form mod p; returns (rows, pivot columns)."""
+    if not rows:
+        return [], []
+    cols = len(rows[0])
+    red, pivots = _reduced(_echelon([_pack(row, p) for row in rows], cols, p), p)
+    return [_unpack(x, cols) for x in red], pivots
+
+
+def nullspace_mod_p(rows: list[list[int]], cols: int, p: int) -> list[list[int]]:
+    """Basis of the kernel of the matrix (rows x cols) over F_p."""
+    return _kernel(_echelon([_pack(row, p) for row in rows], cols, p), cols, p)
+
+
 def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    return len(rref_mod_p(rows, p)[0])
+    if not rows:
+        return 0
+    return len(_echelon([_pack(row, p) for row in rows], len(rows[0]), p))
 
 
 def mat_apply(mat: Sequence[Sequence[int]], v: Sequence[int], p: int) -> tuple:
@@ -294,34 +402,49 @@ def check_resource(E: QuiverRep, Q: Quiver, total_bound: int = DEFAULT_TOTAL_DIM
 
 def _commuting_square_rows(E: QuiverRep, F: QuiverRep, Q: Quiver) -> tuple:
     """The linear map (phi_v) |-> (phi_tgt o E_a - F_a o phi_src) over F_p,
-    one row per arrow a and entry of its target block.  The unknowns are
-    the entries of phi_v, row-major, v = 0..n-1; returns (rows, offsets)
-    with phi_v[i][j] at column offsets[v] + i * E.dims[v] + j and
-    offsets[-1] the number of unknowns."""
-    if any(len(X.dims) != Q.n or len(X.mats) != len(Q.arrows) for X in (E, F)):
+    as packed rows: one per arrow a and entry of its target block.  The
+    unknowns are the entries of phi_v, row-major, v = 0..n-1; returns
+    (rows, offsets) with phi_v[i][j] at column offsets[v] + i * E.dims[v] + j
+    and offsets[-1] the number of unknowns."""
+    arrows = Q.arrows
+    if not (len(E.dims) == len(F.dims) == Q.n and len(E.mats) == len(F.mats) == len(arrows)):
         raise InputError("representations do not live on this quiver")
     p = Q.p
     offsets = [0]
-    for v in range(Q.n):
-        offsets.append(offsets[-1] + F.dims[v] * E.dims[v])
-
-    def var(v, i, j):  # phi_v[i][j], i < F.dims[v], j < E.dims[v]
-        return offsets[v] + i * E.dims[v] + j
-
-    rows = []
-    for idx, (a, b) in enumerate(Q.arrows):
-        Ea, Fa = E.mats[idx], F.mats[idx]
-        # equation block: for each (i < F.dims[b], j < E.dims[a]):
-        #   sum_k phi_b[i][k] Ea[k][j] - sum_k Fa[i][k] phi_a[k][j] = 0
-        for i in range(F.dims[b]):
-            for j in range(E.dims[a]):
-                row = [0] * offsets[-1]
-                for k in range(E.dims[b]):
-                    row[var(b, i, k)] = (row[var(b, i, k)] + Ea[k][j]) % p
-                for k in range(F.dims[a]):
-                    row[var(a, k, j)] = (row[var(a, k, j)] - Fa[i][k]) % p
-                rows.append(row)
-    return rows, offsets
+    for f, e in zip(F.dims, E.dims):
+        offsets.append(offsets[-1] + f * e)
+    # the row of arrow a and (i, j), i < F.dims[b] and j < E.dims[a], is
+    #   sum_k phi_b[i][k] Ea[k][j] - sum_k Fa[i][k] phi_a[k][j]:
+    # column j of Ea from phi_b[i][0] on, and row i of -Fa with stride
+    # E.dims[a] from phi_a[0][j] on; plane by plane, then zipped into rows
+    planes = []
+    for v in range(1, p):
+        plane = []
+        for (a, b), Ea, Fa in zip(arrows, E.mats, F.mats):
+            ea = E.dims[a]
+            if not (ea and Fa):
+                continue
+            cols_e = [0] * ea
+            bit = 1
+            for row in Ea:
+                for j in range(ea):
+                    if row[j] % p == v:
+                        cols_e[j] |= bit
+                bit <<= 1
+            shift = offsets[b]
+            for row in Fa:
+                row_f = 0
+                bit = 1 << offsets[a]
+                for x in row:
+                    if -x % p == v:
+                        row_f |= bit
+                    bit <<= ea
+                for col_e in cols_e:
+                    plane.append(col_e << shift | row_f)
+                    row_f <<= 1
+                shift += E.dims[b]
+        planes.append(plane)
+    return list(zip(*planes)), offsets
 
 
 def hom_space(E: QuiverRep, F: QuiverRep, Q: Quiver) -> tuple[int, list]:
@@ -331,7 +454,8 @@ def hom_space(E: QuiverRep, F: QuiverRep, Q: Quiver) -> tuple[int, list]:
     A basis element is a tuple of matrices (phi_v), one per vertex.
     """
     rows, offsets = _commuting_square_rows(E, F, Q)
-    kernel = nullspace_mod_p(rows, offsets[-1], Q.p)
+    cols = offsets[-1]
+    kernel = _kernel(_echelon(rows, cols, Q.p), cols, Q.p)
     basis = []
     for kv in kernel:
         phis = []
@@ -366,8 +490,8 @@ def ext1_dim(E: QuiverRep, F: QuiverRep, Q: Quiver) -> int:
     """dim Ext^1(E, F), from the two-term resolution: the cokernel of
     (phi_v) |-> (F_a phi_src - phi_tgt E_a).  Independent of the Euler
     bookkeeping, which it is tested against."""
-    rows, _ = _commuting_square_rows(E, F, Q)
-    return len(rows) - rank_mod_p(rows, Q.p)
+    rows, offsets = _commuting_square_rows(E, F, Q)
+    return len(rows) - len(_echelon(rows, offsets[-1], Q.p))
 
 
 def euler_pairing(d: Sequence[int], e: Sequence[int], Q: Quiver) -> int:
@@ -399,7 +523,9 @@ class SubobjectEntry:
 
 class SubobjectLattice:
     """All subrepresentations of a rep, in a deterministic order (zero
-    first, E last), with their containment order as bitmasks."""
+    first, E last), with their containment order as bitmasks, fixed on
+    first read: the verdict of a rep needs only the entries and their
+    classes, since the zero subobject lies below every entry."""
 
     def __init__(self, E: QuiverRep, Q: Quiver, total_bound: int = DEFAULT_TOTAL_DIM):
         check_resource(E, Q, total_bound)
@@ -412,7 +538,6 @@ class SubobjectLattice:
         img: list[list[frozenset]] = []
         for idx, (a, b) in enumerate(Q.arrows):
             mat = E.mats[idx]
-            table = {}
             d_src = E.dims[a]
             codes = {}
             for code in range(p**d_src):
@@ -437,19 +562,30 @@ class SubobjectLattice:
         entries.sort(key=lambda s: (s.total_dim(), s.dims, s.space_idx))
         self.entries = entries
         self.bottom, self.top = 0, len(entries) - 1
-        self.above, self.below = self._containment_masks(
-            [subspace_leq_table(d, p) for d in E.dims]
-        )
 
-    def _containment_masks(self, leq_tables) -> tuple[list, list]:
-        """above[i] has bit j set iff entry i is strictly contained in entry
-        j, and below[j] has bit i set then.  Per vertex, the entries are
-        grouped by their subspace there; containment is the AND over the
-        vertices of the groups whose subspaces contain (or lie in) it."""
+    @functools.cached_property
+    def above(self) -> list:
+        """above[i] has bit j set iff entry i is strictly contained in
+        entry j.  Built with below on first read."""
+        above, self.below = self._containment_masks()
+        return above
+
+    @functools.cached_property
+    def below(self) -> list:
+        """below[j] has bit i set iff entry i is strictly contained in
+        entry j.  Built with above on first read."""
+        self.above, below = self._containment_masks()
+        return below
+
+    def _containment_masks(self) -> tuple[list, list]:
+        """(above, below).  Per vertex, the entries are grouped by their
+        subspace there; containment is the AND over the vertices of the
+        groups whose subspaces contain (or lie in) it."""
         n = len(self.entries)
         above = [(1 << n) - 1] * n
         below = list(above)
-        for v, leq in enumerate(leq_tables):
+        for v, d in enumerate(self.E.dims):
+            leq = subspace_leq_table(d, self.Q.p)
             by_space: dict = {}
             for i, ent in enumerate(self.entries):
                 s = ent.space_idx[v]

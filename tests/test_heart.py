@@ -21,6 +21,7 @@ from stabkit.heart import (
     local_finiteness_probe,
     mass,
     slicing_distance,
+    slicing_hom_vanishing,
     stability_norm,
     tilt_heart_check,
     torsion_cut,
@@ -578,6 +579,37 @@ class TestPrinciples:
         assert rep.ok
         assert len(scans) == len(reps)
         assert sum(1 for E in reps if not is_semistable(E, zc, Q).is_semistable()) > 0
+
+
+class TestLazyMasks:
+    """A lattice builds its containment masks on first read, and only the
+    walks above the zero subobject read them."""
+
+    @pytest.fixture
+    def mask_builds(self, monkeypatch):
+        builds = []
+        build = SubobjectLattice._containment_masks
+
+        def counting(lat):
+            builds.append(lat.E)
+            return build(lat)
+
+        monkeypatch.setattr(SubobjectLattice, "_containment_masks", counting)
+        return builds
+
+    def test_verdicts_and_hom_sweeps_build_no_masks(self, a2, z_std, mask_builds):
+        Q, zc = load_quiver_config(CONFIGS / "kronecker.json")
+        verdicts = [is_semistable(E, z_std, a2).status for E in enumerate_reps(a2, (2, 2))]
+        assert {"stable", "semistable", "unstable"} <= set(verdicts)
+        assert hom_principles_check(z_std, a2, (2, 2)).ok
+        assert hom_principles_check(zc, Q, (2, 1)).ok
+        assert slicing_hom_vanishing(zc, Q, (2, 2))[1] == ()
+        assert mask_builds == []
+
+    def test_hn_filtration_builds_them(self, a2, z_std, S1, S2, mask_builds):
+        E = direct_sum(a2, S1, S2)
+        assert len(hn_filtration(E, z_std, a2).factors) == 2
+        assert mask_builds == [E]
 
 
 def _order_cases():

@@ -20,7 +20,6 @@ in_hbar = st.one_of(
     st.builds(RatComplex, rational, positive),
     st.builds(RatComplex, positive.map(lambda q: -q), st.just(0)),
 )
-deterministic = settings(derandomize=True, database=None, max_examples=200)
 
 
 @st.composite
@@ -33,7 +32,7 @@ def charge_and_class(draw):
     return zc, tuple(dims)
 
 
-@deterministic
+@settings(max_examples=200)
 @given(charge_and_class())
 def test_phase_from_integers_equals_phase_from_rationals(case):
     zc, dims = case
@@ -41,7 +40,7 @@ def test_phase_from_integers_equals_phase_from_rationals(case):
     assert zc.phase(dims).to_json() == reference.to_json()
 
 
-@deterministic
+@settings(max_examples=200)
 @given(
     st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(any),
     rational,

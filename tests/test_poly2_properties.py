@@ -10,17 +10,16 @@ from stabkit.k3 import _Poly2  # noqa: E402
 
 coefficient = st.integers(-200, 200)
 parameter = st.fractions(min_value=-12, max_value=12, max_denominator=16)
-deterministic = settings(derandomize=True, database=None, max_examples=200)
 
 
-@deterministic
+@settings(max_examples=200)
 @given(coefficient, coefficient, coefficient, st.integers(1, 60))
 def test_positive_scaling_keeps_every_root(c0, c1, c2, k):
     roots = [repr(t) for t in _Poly2(c0, c1, c2).roots()]
     assert [repr(t) for t in _Poly2(k * c0, k * c1, k * c2).roots()] == roots
 
 
-@deterministic
+@settings(max_examples=200)
 @given(coefficient, coefficient, coefficient)
 def test_roots_are_roots_in_increasing_order(c0, c1, c2):
     p = _Poly2(c0, c1, c2)
@@ -29,7 +28,7 @@ def test_roots_are_roots_in_increasing_order(c0, c1, c2):
     assert all(a < b for a, b in zip(roots, roots[1:]))
 
 
-@deterministic
+@settings(max_examples=200)
 @given(coefficient, coefficient, coefficient, parameter, parameter)
 def test_range_first_selection_equals_filtered_roots(c0, c1, c2, a, b):
     t0, t1 = min(a, b), max(a, b)
