@@ -774,10 +774,6 @@ class SqrtSum:
             return SqrtSum()
         return SqrtSum([(Fraction(1, q.denominator), q.numerator * q.denominator)])
 
-    @staticmethod
-    def abs_of(z: RatComplex) -> "SqrtSum":
-        return SqrtSum.sqrt_of(z.abs2())
-
     def __add__(self, other: "SqrtSum") -> "SqrtSum":
         if not isinstance(other, SqrtSum):
             return NotImplemented

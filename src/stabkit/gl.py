@@ -140,9 +140,6 @@ class GLTildeElement:
             "f0": self.f0.to_json(),
         }
 
-    def is_rotation(self) -> bool:
-        return self.rot is not None
-
 
 def f_eval(g: GLTildeElement, phi: Union[PhaseValue, Fraction, int]) -> PhaseValue:
     """The lift f at phi: the unique value congruent to the direction

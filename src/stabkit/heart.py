@@ -186,9 +186,7 @@ def _max_destabilizer(lat: SubobjectLattice, values: list, current: int) -> int:
             best, best_cls = j, cv
             continue
         c = _cross(best_cls, cv)  # > 0 iff phi(best) < phi(j)
-        if c > 0 or (
-            c == 0 and lat.entries[j].total_dim() > lat.entries[best].total_dim()
-        ):
+        if c > 0 or (c == 0 and lat.entries[j].total > lat.entries[best].total):
             best, best_cls = j, cv
     if best is None:
         raise InvariantError("no subobject above a proper subobject")
@@ -237,10 +235,6 @@ class HNResult:
     chain_dims: tuple
     factors: tuple  # ((class, phase), ...)
     chain_witnesses: tuple = ()  # per-vertex bases of the chain subobjects
-
-    @property
-    def phases(self) -> tuple:
-        return tuple(phi for _, phi in self.factors)
 
     def phase_top(self) -> PhaseValue:
         return self.factors[0][1]
@@ -355,7 +349,7 @@ def jh_filtration(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> list:
         ]
         if not same_phase:
             raise InvariantError("a semistable object must refine to stable factors")
-        best = min(same_phase, key=lambda i: lat.entries[i].total_dim())
+        best = min(same_phase, key=lambda i: lat.entries[i].total)
         factors.append(lat.interval_quotient_class(current, best))
         current = best
     return factors

@@ -8,9 +8,10 @@ read off a projective resolution (the category is hereditary, so there
 is nothing above Ext^1).
 
 Everything is exact integer arithmetic mod p; the enumeration cost is
-controlled by a hard resource bound on the total dimension.  Hom and
-Ext^1 eliminate on packed rows, one Python int per nonzero value of F_p
-(a single bit plane over F_2), with one routine for every prime.  A
+controlled by a hard resource bound on the total dimension.  A vector of
+F_p^d is a tuple, and a subspace holds its vectors and a basis.  Every
+rank and kernel comes from one elimination on packed rows, one Python
+int per nonzero value of F_p (a single bit plane over F_2).  A
 subobject lattice fixes its containment order on first read, so a
 semistability verdict, which needs none, never builds it.
 """
@@ -22,6 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import InvariantError, RatComplex
@@ -178,19 +180,8 @@ def rref_mod_p(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int
     return [_unpack(x, cols) for x in red], pivots
 
 
-def nullspace_mod_p(rows: list[list[int]], cols: int, p: int) -> list[list[int]]:
-    """Basis of the kernel of the matrix (rows x cols) over F_p."""
-    return _kernel(_echelon([_pack(row, p) for row in rows], cols, p), cols, p)
-
-
-def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    if not rows:
-        return 0
-    return len(_echelon([_pack(row, p) for row in rows], len(rows[0]), p))
-
-
 def mat_apply(mat: Sequence[Sequence[int]], v: Sequence[int], p: int) -> tuple:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) % p for row in mat)
+    return tuple([sum(map(mul, row, v)) % p for row in mat])
 
 
 def mat_is_invertible(mat: Sequence[Sequence[int]], p: int) -> bool:
@@ -199,63 +190,57 @@ def mat_is_invertible(mat: Sequence[Sequence[int]], p: int) -> bool:
         return True
     if any(len(row) != n for row in mat):
         return False
-    return rank_mod_p([list(r) for r in mat], p) == n
+    return len(_echelon([_pack(row, p) for row in mat], n, p)) == n
 
 
 # ---------------------------------------------------------------------------
 # subspaces of F_p^d, globally cached per (p, d)
 
 
-def _encode(v: Sequence[int], p: int) -> int:
-    code = 0
-    for x in reversed(v):
-        code = code * p + (x % p)
-    return code
-
-
-def _decode(code: int, d: int, p: int) -> tuple:
-    v = []
-    for _ in range(d):
-        v.append(code % p)
-        code //= p
-    return tuple(v)
+@functools.lru_cache(maxsize=None)
+def _vectors(d: int, p: int) -> tuple:
+    """F_p^d as tuples, the first coordinate changing fastest."""
+    return tuple(v[::-1] for v in itertools.product(range(p), repeat=d))
 
 
 @dataclass(frozen=True)
 class Subspace:
     dim: int
-    elems: frozenset  # encoded vectors
+    elems: frozenset  # its vectors
     basis: tuple  # tuple of vector tuples
 
 
 @functools.lru_cache(maxsize=None)
 def subspaces_of(d: int, p: int) -> tuple:
-    """All subspaces of F_p^d, ordered by (dim, sorted element set)."""
-    zero = Subspace(0, frozenset([0]), ())
+    """All subspaces of F_p^d, ordered by dim and then by the sorted
+    element set, each vector read last coordinate first.  Each basis
+    extends a basis of lower dimension by the first vector of
+    _vectors(d, p) that leads to a new subspace."""
+    vectors = _vectors(d, p)
+    zero = Subspace(0, frozenset(vectors[:1]), ())
     found = {zero.elems: zero}
     frontier = [zero]
-    all_codes = range(p**d)
     while frontier:
         nxt = []
         for sp in frontier:
-            for code in all_codes:
-                if code in sp.elems:
+            covered = set(sp.elems)  # v in an extension found from sp gives it again
+            for v in vectors:
+                if v in covered:
                     continue
-                v = _decode(code, d, p)
-                elems = set(sp.elems)
-                for e in sp.elems:
-                    w = _decode(e, d, p)
-                    for c in range(1, p):
-                        elems.add(
-                            _encode([(a + c * b) % p for a, b in zip(w, v)], p)
-                        )
-                key = frozenset(elems)
+                key = frozenset(
+                    tuple((a + c * b) % p for a, b in zip(w, v))
+                    for w in sp.elems
+                    for c in range(p)
+                )
+                covered |= key
                 if key not in found:
                     new = Subspace(sp.dim + 1, key, sp.basis + (v,))
                     found[key] = new
                     nxt.append(new)
         frontier = nxt
-    return tuple(sorted(found.values(), key=lambda s: (s.dim, sorted(s.elems))))
+    return tuple(
+        sorted(found.values(), key=lambda s: (s.dim, sorted(v[::-1] for v in s.elems)))
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -512,13 +497,11 @@ def euler_pairing(d: Sequence[int], e: Sequence[int], Q: Quiver) -> int:
 @dataclass(frozen=True)
 class SubobjectEntry:
     """One arrow-closed tuple of subspaces: indices into subspaces_of(d,p)
-    per vertex, plus the induced dimension vector."""
+    per vertex, plus the induced dimension vector and its total."""
 
     space_idx: tuple
     dims: tuple
-
-    def total_dim(self) -> int:
-        return sum(self.dims)
+    total: int
 
 
 class SubobjectLattice:
@@ -533,20 +516,12 @@ class SubobjectLattice:
         p = Q.p
         per_vertex = [subspaces_of(d, p) for d in E.dims]
         self._per_vertex = per_vertex
-        # image table: for each arrow and each source-subspace index, the
-        # set of encoded image vectors
-        img: list[list[frozenset]] = []
-        for idx, (a, b) in enumerate(Q.arrows):
-            mat = E.mats[idx]
-            d_src = E.dims[a]
-            codes = {}
-            for code in range(p**d_src):
-                v = _decode(code, d_src, p)
-                codes[code] = _encode(mat_apply(mat, v, p), p)
-            arr = []
-            for sp in per_vertex[a]:
-                arr.append(frozenset(codes[c] for c in sp.elems))
-            img.append(arr)
+        # for each arrow and each source subspace, the images of its
+        # basis: they span its image, which lies in a subspace iff they do
+        img = [
+            [frozenset(mat_apply(mat, v, p) for v in sp.basis) for sp in per_vertex[a]]
+            for mat, (a, _) in zip(E.mats, Q.arrows)
+        ]
         entries = []
         ranges = [range(len(per_vertex[v])) for v in range(Q.n)]
         for choice in itertools.product(*ranges):
@@ -557,9 +532,9 @@ class SubobjectLattice:
                     break
             if ok:
                 dims = tuple(per_vertex[v][choice[v]].dim for v in range(Q.n))
-                entries.append(SubobjectEntry(choice, dims))
+                entries.append(SubobjectEntry(choice, dims, sum(dims)))
         # deterministic order: total dim, then dims, then space indices
-        entries.sort(key=lambda s: (s.total_dim(), s.dims, s.space_idx))
+        entries.sort(key=lambda s: (s.total, s.dims, s.space_idx))
         self.entries = entries
         self.bottom, self.top = 0, len(entries) - 1
 
@@ -608,9 +583,6 @@ class SubobjectLattice:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def leq(self, i: int, j: int) -> bool:
-        return i == j or bool(self.above[i] >> j & 1)
 
     def basis_of(self, i: int) -> tuple:
         """Per-vertex bases of the subobject (tuples of vectors)."""
@@ -677,16 +649,15 @@ def _rep_in_bases(
 
 def _extend_basis(basis: Sequence[tuple], d: int, p: int) -> list[tuple]:
     """Complete a basis of a subspace to a basis of F_p^d; returns the
-    added vectors."""
-    current = [list(v) for v in basis]
+    added vectors, each the first of _vectors(d, p) outside the span so
+    far."""
+    rows = [_pack(v, p) for v in basis]
     added = []
-    for code in range(1, p**d):
-        if len(current) == d:
+    for v in _vectors(d, p):
+        if len(rows) == d:
             break
-        v = _decode(code, d, p)
-        test = current + [list(v)]
-        if rank_mod_p([list(r) for r in zip(*test)] if test else [], p) == len(test):
-            current.append(list(v))
+        if len(_echelon(rows + [_pack(v, p)], d, p)) > len(rows):
+            rows.append(_pack(v, p))
             added.append(v)
     return added
 

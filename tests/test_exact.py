@@ -213,8 +213,8 @@ class TestSqrtSum:
         assert SqrtSum() == 0
 
     def test_abs_of(self):
-        assert SqrtSum.abs_of(RatComplex(-1, 1)).as_single_sqrt() == 2
-        assert float(SqrtSum.abs_of(RatComplex(3, 4))) == pytest.approx(5.0)
+        assert SqrtSum.sqrt_of(RatComplex(-1, 1).abs2()).as_single_sqrt() == 2
+        assert float(SqrtSum.sqrt_of(RatComplex(3, 4).abs2())) == pytest.approx(5.0)
 
 
 def test_atan_argument_guard_raises_under_python_O():

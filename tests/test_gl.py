@@ -66,7 +66,7 @@ class TestConstruction:
 
     def test_irrational_rotation_symbolic(self):
         g = GLTildeElement.rotation(F(1, 8))
-        assert g.is_rotation()
+        assert g.rot is not None
         assert g.f0 == F(-1, 8)
 
     def test_json_roundtrip(self):

@@ -176,19 +176,31 @@ class TestSubobjects:
 
     def test_containment(self, a2, P):
         lat = SubobjectLattice(P, a2)
-        assert lat.leq(lat.bottom, lat.top)
+        assert lat.above[lat.bottom] >> lat.top & 1
         mid = next(i for i, e in enumerate(lat.entries) if e.dims == (0, 1))
-        assert lat.leq(lat.bottom, mid) and lat.leq(mid, lat.top)
-        assert not lat.leq(lat.top, mid)
+        assert lat.above[lat.bottom] >> mid & 1 and lat.above[mid] >> lat.top & 1
+        assert not lat.above[lat.top] >> mid & 1
+
+
+def _span(basis, d, p):
+    return frozenset(
+        tuple(sum(c * v[i] for c, v in zip(coeffs, basis)) % p for i in range(d))
+        for coeffs in itertools.product(range(p), repeat=len(basis))
+    )
+
+
+def _entry_spans(lat):
+    """Each entry's element sets, spanned by brute force from its bases."""
+    return [
+        tuple(_span(b, d, lat.Q.p) for b, d in zip(lat.basis_of(i), lat.E.dims))
+        for i in range(len(lat))
+    ]
 
 
 def _reference_order(lat):
-    """Strict containment masks from pairwise inclusion of element sets."""
-    spaces = [subspaces_of(d, lat.Q.p) for d in lat.E.dims]
-    elems = [
-        [spaces[v][k].elems for v, k in enumerate(ent.space_idx)]
-        for ent in lat.entries
-    ]
+    """Strict containment masks from pairwise inclusion of the entries'
+    element sets."""
+    elems = _entry_spans(lat)
     n = len(elems)
     above, below = [0] * n, [0] * n
     for i, j in itertools.permutations(range(n), 2):
@@ -196,6 +208,21 @@ def _reference_order(lat):
             above[i] |= 1 << j
             below[j] |= 1 << i
     return above, below
+
+
+def _closed_tuples(E, Q):
+    """The element sets of every tuple of subspaces that each arrow maps
+    into its target's, testing every element of the source."""
+    p = Q.p
+    closed = set()
+    for choice in itertools.product(*[subspaces_of(d, p) for d in E.dims]):
+        if all(
+            tuple(sum(x * y for x, y in zip(row, v)) % p for row in m) in choice[b].elems
+            for m, (a, b) in zip(E.mats, Q.arrows)
+            for v in choice[a].elems
+        ):
+            closed.add(tuple(sp.elems for sp in choice))
+    return closed
 
 
 def _zero_map_rep(Q, dims):
@@ -217,6 +244,8 @@ class TestContainmentMasks:
         for E in enumerate_reps(Q, max_dims):
             lat = SubobjectLattice(E, Q)
             assert (lat.above, lat.below) == _reference_order(lat)
+            spans = set(_entry_spans(lat))
+            assert len(spans) == len(lat) and spans == _closed_tuples(E, Q)
 
     def test_zero_map_kronecker_reps(self):
         Q = Quiver.kronecker(2, 2)
@@ -224,11 +253,6 @@ class TestContainmentMasks:
             lat = SubobjectLattice(_zero_map_rep(Q, dims), Q)
             assert (lat.above, lat.below) == _reference_order(lat)
         assert len(lat) == 16 * 16  # every pair of subspaces of F_2^3
-
-    def test_leq_reads_the_masks(self, a2, P):
-        lat = SubobjectLattice(P, a2)
-        for i, j in itertools.product(range(len(lat)), repeat=2):
-            assert lat.leq(i, j) == (i == j or bool(lat.above[i] >> j & 1))
 
 
 class TestEnumeration:
