@@ -14,7 +14,6 @@ than an enforced invariant.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -155,14 +154,10 @@ def hn_polygon(parts: Sequence[CurveClass], zc: CurveCharge) -> HNPolygon:
         if not z.in_upper_closure():
             raise InputError(f"charge of {c} lies outside H-bar")
         evaluated.append((c, z, PhaseValue.of_upper(z)))
-
-    def cmp(a, b):
-        return (b[2] - a[2]).sign()  # decreasing phase
-
-    evaluated.sort(key=functools.cmp_to_key(cmp))
+    evaluated.sort(key=lambda e: e[2], reverse=True)  # stable: ties keep order
     merged = []
     for c, z, phi in evaluated:
-        if merged and (merged[-1][2] - phi).sign() == 0:
+        if merged and merged[-1][2] == phi:
             c0, z0, phi0 = merged[-1]
             merged[-1] = (c0 + c, z0 + z, phi0)
         else:

@@ -20,6 +20,13 @@ quantities, never by floating point.  Four kinds of values are needed:
   are linearly independent over Q, so equality is syntactic and strict
   comparison terminates by interval refinement.
 
+The last three share one order protocol, ``_ExactOrder``: each type
+gives ``_cmp(other)``, the exact sign of self - other, and ``==``,
+``<``, ``<=``, ``>`` and ``>=`` each make one ``_cmp`` call.  Equality
+accepts only int, Fraction and the same type.  When two values cannot be
+compared by exact arithmetic (Quads of different fields, SqrtSums), one
+loop, ``_separate``, refines their rational enclosures until they part.
+
 Floats appear only as display values.
 """
 
@@ -192,10 +199,50 @@ def _coerce_complex(x) -> RatComplex:
 
 
 # ---------------------------------------------------------------------------
+# the order of exact values
+
+
+class _ExactOrder:
+    """Comparison operators from ``_cmp(other)``, the sign of self - other."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, (type(self), int, Fraction)):
+            return NotImplemented
+        return self._cmp(other) == 0
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+
+def _separate(x, y) -> int:
+    """Sign of x - y for values known to differ, by refining their
+    ``enclosure(bits)`` until the intervals are disjoint."""
+    for bits in (32, 64, 128, 256, 512, 1024):
+        xlo, xhi = x.enclosure(bits)
+        ylo, yhi = y.enclosure(bits)
+        if xlo > yhi:
+            return 1
+        if xhi < ylo:
+            return -1
+    raise ExactnessError(f"could not separate {x!r} and {y!r}")
+
+
+# ---------------------------------------------------------------------------
 # exact quadratic surds a + b*sqrt(d)
 
 
-class Quad:
+class Quad(_ExactOrder):
     """Element a + b*sqrt(d) of Q(sqrt(d)), d > 0 squarefree.
 
     Arithmetic within one field is exact; comparisons across different
@@ -301,26 +348,11 @@ class Quad:
         return 1 if self.b > 0 else -1
 
     def _cmp(self, other) -> int:
-        if isinstance(other, Quad) and self.b != 0 and other.b != 0 and self.d != other.d:
-            return _cmp_mixed_quads(self, other)
-        return (self - _coerce_quad(other)).sign()
-
-    def __eq__(self, other):
-        if not isinstance(other, (Quad, int, Fraction)):
-            return NotImplemented
-        return self._cmp(other) == 0
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+        other = _coerce_quad(other)
+        if self.b != 0 and other.b != 0 and self.d != other.d:
+            # sqrt(d1) is not in Q(sqrt(d2)), so the values differ
+            return _separate(self, other)
+        return (self - other).sign()
 
     def __hash__(self):
         if self.b == 0:
@@ -355,22 +387,6 @@ def _coerce_quad(x) -> Quad:
     if isinstance(x, (int, Fraction)):
         return Quad(x)
     raise TypeError(f"cannot coerce {x!r} to Quad")
-
-
-def _cmp_mixed_quads(x: Quad, y: Quad) -> int:
-    """Compare values living in different quadratic fields.
-
-    Equality would need sqrt(d1) in Q(sqrt(d2)) for distinct squarefree
-    d1, d2, which is impossible, so interval refinement terminates.
-    """
-    for bits in (32, 64, 128, 256, 512, 1024):
-        xlo, xhi = x.enclosure(bits)
-        ylo, yhi = y.enclosure(bits)
-        if xlo > yhi:
-            return 1
-        if xhi < ylo:
-            return -1
-    raise ExactnessError(f"could not separate {x!r} and {y!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +533,7 @@ def arg_over_pi_bounds(x: int, y: int, n: int) -> tuple[Fraction, Fraction]:
 # exact phases
 
 
-class PhaseValue:
+class PhaseValue(_ExactOrder):
     """Exact real number  offset + arg(x + i y)/pi.
 
     Canonical form: the direction (x, y) is a primitive integer vector
@@ -668,30 +684,11 @@ class PhaseValue:
         )
 
     def _cmp(self, other) -> int:
-        if isinstance(other, (int, Fraction)):
-            other = PhaseValue.rational(other)
-        if not isinstance(other, PhaseValue):
+        if not isinstance(other, (int, Fraction, PhaseValue)):
             raise TypeError(f"cannot compare PhaseValue with {other!r}")
         return (self - other).sign()
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, PhaseValue)):
-            return self._cmp(other) == 0
-        return NotImplemented
-
     __hash__ = None  # type: ignore[assignment]
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     # -- misc ----------------------------------------------------------
 
@@ -699,9 +696,7 @@ class PhaseValue:
         """Largest integer <= value."""
         n = math.floor(self.offset)  # value in (offset - 1/2, offset + 1/2)
         for cand in (n - 1, n, n + 1):
-            if (self - Fraction(cand)).sign() >= 0 and (
-                self - Fraction(cand + 1)
-            ).sign() < 0:
+            if cand <= self < cand + 1:
                 return cand
         raise InvariantError("floor bracket failed")
 
@@ -741,7 +736,7 @@ class PhaseValue:
 # sums of square roots (masses)
 
 
-class SqrtSum:
+class SqrtSum(_ExactOrder):
     """Nonnegative value sum_i c_i sqrt(d_i), c_i >= 0 rational, d_i
     squarefree positive integers.
 
@@ -810,31 +805,7 @@ class SqrtSum:
             raise TypeError("cannot compare SqrtSum with that")
         if self.terms == other.terms:
             return 0
-        for bits in (32, 64, 128, 256, 512, 1024):
-            alo, ahi = self.enclosure(bits)
-            blo, bhi = other.enclosure(bits)
-            if alo > bhi:
-                return 1
-            if ahi < blo:
-                return -1
-        raise ExactnessError("could not separate sqrt sums")
-
-    def __eq__(self, other):
-        if not isinstance(other, (SqrtSum, int, Fraction)):
-            return NotImplemented
-        return self._cmp(other) == 0
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return _separate(self, other)
 
     def __hash__(self):
         return hash(self.terms)

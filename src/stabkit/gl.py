@@ -109,11 +109,6 @@ class GLTildeElement:
     @staticmethod
     def rotation(q) -> "GLTildeElement":
         """The lift rotating every phase up by q: f(phi) = phi - q."""
-        q = as_fraction(q)
-        if q % _HALF == 0:
-            return GLTildeElement(
-                m=_rot_matrix_half_integer(q), f0=PhaseValue.rational(-q)
-            )
         return GLTildeElement(rot=q)
 
     @staticmethod
@@ -173,7 +168,7 @@ def f_eval(g: GLTildeElement, phi: Union[PhaseValue, Fraction, int]) -> PhaseVal
     guess = math.floor((float(g.f0) - float(a)) / 2)
     for mshift in (guess - 1, guess, guess + 1, guess + 2):
         cand = a + Fraction(2 * mshift)
-        if (cand - g.f0).sign() >= 0 and (cand - (g.f0 + 2)).sign() < 0:
+        if g.f0 <= cand < g.f0 + 2:
             return cand + Fraction(2 * k)
     raise InvariantError("branch selection failed")
 

@@ -422,7 +422,7 @@ def torsion_cut(
     chain = _hn_chain(lat, _charge_values(lat, zc))
     cut = 0
     for lo, hi in zip(chain, chain[1:]):
-        if (zc.phase(lat.interval_quotient_class(lo, hi)) - phi0).sign() > 0:
+        if zc.phase(lat.interval_quotient_class(lo, hi)) > phi0:
             cut += 1
         else:
             break
@@ -588,7 +588,7 @@ def slicing_distance(
             inf_formula = eps_e if inf_formula is None else max(inf_formula, eps_e)
     if sup is None:
         return PhaseValue.rational(0)
-    if inf_formula is None or (sup - inf_formula).sign() != 0:
+    if inf_formula is None or sup != inf_formula:
         raise InvariantError(
             "sup- and inf-descriptions of the slicing distance disagree on the "
             "bounded object set"
@@ -599,22 +599,18 @@ def slicing_distance(
 @dataclass(frozen=True)
 class NormValue:
     """sup |U(E)| / |Z(E)| over semistable E up to the bound, stored by
-    its exact square (a rational, or a surd for rotation norms); always
-    a lower bound for the true norm."""
+    its exact square as a Quad (rational for coefficient perturbations,
+    a surd for rotation norms); always a lower bound for the true norm."""
 
-    square: object
+    square: Quad
     truncated: bool = True
 
     def __float__(self):
         return math.sqrt(float(self.square))
 
-    def _square_quad(self) -> Quad:
-        return self.square if isinstance(self.square, Quad) else Quad(self.square)
-
     def less_than_sin_pi(self, eps) -> bool:
         """Exact comparison  norm < sin(pi * eps)."""
-        diff = sin2_pi(eps)._cmp(self._square_quad())
-        return diff > 0
+        return self.square < sin2_pi(eps)
 
 
 def stability_norm(
@@ -642,7 +638,7 @@ def stability_norm(
         ratio = u.abs2() / zc.abs2(E.dims)
         if ratio > best:
             best = ratio
-    return NormValue(best, truncated=True)
+    return NormValue(Quad(best), truncated=True)
 
 
 def mass(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> SqrtSum:
@@ -689,10 +685,7 @@ def deformation_test(
     elif wc.z == zc.z:
         delta = wc.rot - zc.rot
         # |e^{i pi d} - 1|^2 = 2 - 2 cos(pi d), uniform over every class
-        norm_sq = Quad(2) - cos_pi(delta) * 2
-        norm = NormValue(
-            norm_sq.as_fraction() if norm_sq.is_rational() else norm_sq, True
-        )
+        norm = NormValue(Quad(2) - cos_pi(delta) * 2, True)
     else:
         raise ExactnessError(
             "deformation_test supports coefficient perturbations at equal "
@@ -703,7 +696,7 @@ def deformation_test(
             False, norm=norm, note="norm >= sin(pi eps): hypothesis not met"
         )
     dist = slicing_distance(zc, wc, Q, max_dims)
-    ok = (dist - eps).sign() < 0
+    ok = dist < eps
     return DeformationReport(True, ok=ok, norm=norm, distance=dist)
 
 
@@ -849,7 +842,7 @@ def local_finiteness_probe(
     phase = _phases(zc, (c for key in groups for c in key))
     phases = []  # the distinct phases of semistable objects, first-seen order
     for top, bot in groups:
-        if top == bot and not any((phase[top] - q).sign() == 0 for q in phases):
+        if top == bot and not any(phase[top] == q for q in phases):
             phases.append(phase[top])
     slices = []
     for phi in phases:
@@ -857,7 +850,7 @@ def local_finiteness_probe(
         members = [
             group
             for (top, bot), group in groups.items()
-            if (phase[top] - upper).sign() < 0 and (phase[bot] - lower).sign() > 0
+            if phase[top] < upper and phase[bot] > lower
         ]
         max_dim = max((dim for _, dim in members), default=0)
         slices.append((float(phi), sum(count for count, _ in members), max_dim))

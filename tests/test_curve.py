@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -133,6 +134,34 @@ class TestHNPolygon:
         poly = hn_polygon([CurveClass(1, 1), CurveClass(2, 2)], CurveCharge.standard())
         assert len(poly.factors) == 1
         assert poly.factors[0][0] == CurveClass(3, 3)
+        # three parts with a tie, in every order: vertices and factors
+        # recorded from the comparator sort hn_polygon used before it
+        # sorted by key
+        cases = [
+            (  # the tie has the top phase
+                [CurveClass(1, 1), CurveClass(2, 2), CurveClass(1, -3)],
+                ["(0)+(0)i", "(-3)+(3)i", "(0)+(4)i"],
+                [
+                    ("CurveClass(r=3, d=3)", "(-3)+(3)i", {"offset": "1", "dir": [1, -1]}),
+                    ("CurveClass(r=1, d=-3)", "(3)+(1)i", {"offset": "0", "dir": [3, 1]}),
+                ],
+            ),
+            (  # the tie has the bottom phase
+                [CurveClass(1, -1), CurveClass(2, -2), CurveClass(0, 1)],
+                ["(0)+(0)i", "(-1)+(0)i", "(2)+(3)i"],
+                [
+                    ("CurveClass(r=0, d=1)", "(-1)+(0)i", "1"),
+                    ("CurveClass(r=3, d=-3)", "(3)+(3)i", {"offset": "0", "dir": [1, 1]}),
+                ],
+            ),
+        ]
+        for parts, vertices, factors in cases:
+            for perm in itertools.permutations(parts):
+                poly = hn_polygon(list(perm), CurveCharge.standard())
+                assert [str(v) for v in poly.vertices] == vertices, perm
+                assert [
+                    (repr(c), str(z), phi.to_json()) for c, z, phi in poly.factors
+                ] == factors, perm
 
     def test_additivity(self):
         rng = random.Random(3)

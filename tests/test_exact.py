@@ -1,4 +1,5 @@
 import math
+import operator
 import subprocess
 import sys
 import textwrap
@@ -215,6 +216,68 @@ class TestSqrtSum:
     def test_abs_of(self):
         assert SqrtSum.sqrt_of(RatComplex(-1, 1).abs2()).as_single_sqrt() == 2
         assert float(SqrtSum.sqrt_of(RatComplex(3, 4).abs2())) == pytest.approx(5.0)
+
+
+# (x, y, sign of x - y): same-field, mixed-field and rational Quads,
+# SqrtSums and PhaseValues, equal pairs included
+ORDER_PAIRS = [
+    (Quad(1, 1, 2), Quad(3, -1, 2), 1),
+    (Quad(1, 1, 2), Quad(1, F(1, 2), 8), 0),
+    (Quad(0, 1, 2), F(7, 5), 1),
+    (Quad(F(3, 2)), F(3, 2), 0),
+    (Quad(0, 1, 2), Quad(0, 1, 3), -1),
+    (Quad(1, 1, 3), Quad(0, 2, 2), -1),
+    (SqrtSum.sqrt_of(2) + SqrtSum.sqrt_of(3), SqrtSum.sqrt_of(5), 1),
+    (SqrtSum.sqrt_of(2) + SqrtSum.sqrt_of(8), SqrtSum([(3, 2)]), 0),
+    (SqrtSum.sqrt_of(8), 3, -1),
+    (SqrtSum(), 0, 0),
+    (PhaseValue((2, 1)), F(1, 7), 1),
+    (PhaseValue((1, 3)) - PhaseValue((2, 1)), F(1, 4), 0),
+    (PhaseValue((1, 1)), PhaseValue((2, 1)), 1),
+    (PhaseValue((1, 1), 1), PhaseValue((-1, -1), 2), 0),
+]
+
+ORDER_OPS = {
+    "==": (operator.eq, lambda s: s == 0),
+    "!=": (operator.ne, lambda s: s != 0),
+    "<": (operator.lt, lambda s: s < 0),
+    "<=": (operator.le, lambda s: s <= 0),
+    ">": (operator.gt, lambda s: s > 0),
+    ">=": (operator.ge, lambda s: s >= 0),
+}
+
+
+@pytest.mark.parametrize("x, y, sign", ORDER_PAIRS)
+def test_order_protocol(x, y, sign, monkeypatch):
+    cls = type(x)
+    c = x._cmp(y)
+    assert (c > 0) - (c < 0) == sign
+    calls = []
+    cmp = cls._cmp
+
+    def counted(self, other):
+        calls.append(other)
+        return cmp(self, other)
+
+    monkeypatch.setattr(cls, "_cmp", counted)
+    for name, (op, holds) in ORDER_OPS.items():
+        for a, b, s in ((x, y, sign), (y, x, -sign)):
+            calls.clear()
+            assert op(a, b) is holds(s), (name, a, b)
+            assert len(calls) == 1, (name, a, b)
+    assert not hasattr(x, "__dict__") and not hasattr(y, "__dict__")
+
+
+def test_order_protocol_across_types():
+    values = [Quad(1), Quad(0, 1, 2), SqrtSum.sqrt_of(1), PhaseValue.rational(1)]
+    for x in values:
+        for y in values:
+            if type(x) is not type(y):
+                assert (x == y) is False
+                assert (x != y) is True
+    assert hash(Quad(F(3, 2))) == hash(F(3, 2))
+    with pytest.raises(TypeError):
+        hash(PhaseValue.rational(1))
 
 
 def test_atan_argument_guard_raises_under_python_O():

@@ -64,6 +64,35 @@ class TestConstruction:
         assert g.m == ((0, 1), (-1, 0))
         assert g.f0 == F(-1, 2)
 
+    def test_rotation_json_pins(self):
+        # to_json_dict() of rotation(k/8), k in -16..16, recorded before
+        # rotation() left its half-integer case to __init__
+        quarter_turns = {
+            -16: ([["1", "0"], ["0", "1"]], "2"),
+            -12: ([["0", "1"], ["-1", "0"]], "3/2"),
+            -8: ([["-1", "0"], ["0", "-1"]], "1"),
+            -4: ([["0", "-1"], ["1", "0"]], "1/2"),
+            0: ([["1", "0"], ["0", "1"]], "0"),
+            4: ([["0", "1"], ["-1", "0"]], "-1/2"),
+            8: ([["-1", "0"], ["0", "-1"]], "-1"),
+            12: ([["0", "-1"], ["1", "0"]], "-3/2"),
+            16: ([["1", "0"], ["0", "1"]], "-2"),
+        }
+        symbolic = {
+            -15: "-15/8", -14: "-7/4", -13: "-13/8", -11: "-11/8", -10: "-5/4",
+            -9: "-9/8", -7: "-7/8", -6: "-3/4", -5: "-5/8", -3: "-3/8",
+            -2: "-1/4", -1: "-1/8", 1: "1/8", 2: "1/4", 3: "3/8", 5: "5/8",
+            6: "3/4", 7: "7/8", 9: "9/8", 10: "5/4", 11: "11/8", 13: "13/8",
+            14: "7/4", 15: "15/8",
+        }
+        for k in range(-16, 17):
+            got = GLTildeElement.rotation(F(k, 8)).to_json_dict()
+            if k in quarter_turns:
+                m, f0 = quarter_turns[k]
+                assert got == {"M": m, "f0": f0}, k
+            else:
+                assert got == {"rot": symbolic[k]}, k
+
     def test_irrational_rotation_symbolic(self):
         g = GLTildeElement.rotation(F(1, 8))
         assert g.rot is not None
