@@ -26,7 +26,7 @@ from .curve import (
     hn_polygon,
     phase_order_check,
 )
-from .exact import ExactnessError, frac_str
+from .exact import ExactnessError, RatComplex, frac_str
 from .gl import GLTildeElement, act_on_charge, commute_check, compose
 from .heart import (
     HeartCharge,
@@ -201,7 +201,8 @@ def parse_rep(spec: str, Q: Quiver) -> QuiverRep:
     return QuiverRep(dims, tuple(tuple(tuple(r) for r in m) for m in mats), Q)
 
 
-def parse_torsion_predicate(spec: str):
+def parse_torsion_predicate(spec: str, n: int):
+    """The torsion class named by spec, on a quiver with n vertices."""
     spec = spec.strip()
     if spec == "all":
         return lambda E: True
@@ -210,6 +211,8 @@ def parse_torsion_predicate(spec: str):
     m = re.fullmatch(r"d(\d+)=0", spec)
     if m:
         idx = int(m.group(1))
+        if idx >= n:
+            raise InputError(f"torsion class {spec!r}: no vertex {idx} in a quiver with {n}")
         return lambda E: E.dims[idx] == 0
     raise InputError(
         f"unknown torsion class {spec!r}: use 'all', 'none' or 'd<i>=0'"
@@ -325,8 +328,8 @@ def _charge_at(args, lat) -> K3CentralCharge:
     b_parts = parse_path_expr(args.B, lat.rank, ("t",))
     w_parts = parse_path_expr(args.omega, lat.rank, ("t",))
     t = parse_rational(args.t) if args.t is not None else Fraction(0)
-    B = tuple(c + t * l for c, l in zip(b_parts[None], b_parts["t"]))
-    omega = tuple(c + t * l for c, l in zip(w_parts[None], w_parts["t"]))
+    B = AffinePath(b_parts[None], b_parts["t"]).at(t)
+    omega = AffinePath(w_parts[None], w_parts["t"]).at(t)
     return K3CentralCharge(lat, B, omega)
 
 
@@ -419,7 +422,7 @@ def cmd_quiver_check(args) -> int:
     else:
         raise InputError(f"unknown suite {args.suite!r}")
     out = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    _write(args.json, out) if args.json else sys.stdout.write(out)
+    _write(args.json, out)
     return 0 if data.get("ok", True) else 1
 
 
@@ -430,13 +433,16 @@ def cmd_quiver_deform(args) -> int:
     if args.rotate is not None:
         wc = zc.rotated(parse_rational(args.rotate))
     elif args.perturb is not None:
-        from .exact import RatComplex
-
         deltas = {}
         for part in args.perturb.split(";"):
             idx, val = part.split(":")
             re_s, im_s = val.split(",")
-            deltas[int(idx)] = RatComplex(parse_rational(re_s), parse_rational(im_s))
+            i = int(idx)
+            if i in deltas:
+                raise InputError(f"--perturb names vertex {i} twice")
+            if i not in range(Q.n):
+                raise InputError(f"--perturb: no vertex {i} in a quiver with {Q.n}")
+            deltas[i] = RatComplex(parse_rational(re_s), parse_rational(im_s))
         new_z = [
             z + deltas.get(i, RatComplex(0, 0)) for i, z in enumerate(zc.z)
         ]
@@ -457,7 +463,7 @@ def cmd_quiver_deform(args) -> int:
 def cmd_quiver_tilt(args) -> int:
     Q, _ = load_quiver_config(args.config)
     bound = _vertex_bound(args, Q)
-    pred = parse_torsion_predicate(args.torsion)
+    pred = parse_torsion_predicate(args.torsion, Q.n)
     rep = tilt_heart_check(pred, Q, bound)
     if rep.ok:
         tag = {"identity": " (tilt = original heart)", "shift": " (tilt = shifted heart)"}.get(

@@ -104,7 +104,7 @@ def gl_orbit_decompose(zc: CurveCharge):
             f"det {mat_det(zc.m)} <= 0: charge is not in the oriented orbit"
         )
     m_inv = mat_inv(zc.m)
-    M = mat_mul([list(r) for r in STD_MATRIX], m_inv)
+    M = mat_mul(STD_MATRIX, m_inv)
     return tuple(tuple(x for x in row) for row in M)
 
 
@@ -112,7 +112,7 @@ def phase_order_check(zc: CurveCharge, d_range: Sequence[int]) -> bool:
     """After normalizing to the standard frame, every line-bundle class
     (1, d) must have phase strictly between phi_point - 1 and phi_point."""
     M = gl_orbit_decompose(zc)
-    normalized = CurveCharge(mat_mul([list(r) for r in M], [list(r) for r in zc.m]))
+    normalized = CurveCharge(mat_mul(M, zc.m))
     zp = normalized(CurveClass(0, 1))
     if not (zp.im == 0 and zp.re < 0):
         raise NotInOrbit("normalized charge does not send the point class to R_<0")

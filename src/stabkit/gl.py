@@ -182,16 +182,13 @@ def compose(g1: GLTildeElement, g2: GLTildeElement) -> GLTildeElement:
             "cannot compose an irrational rotation with a general matrix "
             "exactly; use half-integer rotations for mixed products"
         )
-    m = tuple(
-        tuple(x for x in row) for row in mat_mul([list(r) for r in g1.m], [list(r) for r in g2.m])
-    )
-    return GLTildeElement(m=m, f0=f_eval(g1, g2.f0))
+    return GLTildeElement(m=mat_mul(g1.m, g2.m), f0=f_eval(g1, g2.f0))
 
 
 def inverse(g: GLTildeElement) -> GLTildeElement:
     if g.rot is not None:
         return GLTildeElement.rotation(-g.rot)
-    minv = tuple(tuple(x for x in row) for row in mat_inv([list(r) for r in g.m]))
+    minv = mat_inv(g.m)
     a = PhaseValue((minv[0][0], minv[1][0]))  # direction of M^{-1}.(1,0)
     # pick the even shift making f(f^{-1}(0)) = 0
     val = f_eval(g, a)
@@ -208,9 +205,9 @@ def act_on_charge(g: GLTildeElement, Z):
             "irrational rotations act exactly only on heart charges; "
             "use act_on_heart_stability"
         )
-    minv = mat_inv([list(r) for r in g.m])
+    minv = mat_inv(g.m)
     if isinstance(Z, CurveCharge):
-        return CurveCharge(mat_mul(minv, [list(r) for r in Z.m]))
+        return CurveCharge(mat_mul(minv, Z.m))
     if isinstance(Z, K3CentralCharge):
         Z = Z.Om
     if isinstance(Z, ComplexMukaiVector):
@@ -256,7 +253,7 @@ def act_on_heart_stability(g: GLTildeElement, zc: HeartCharge) -> HeartActionRes
             "matrix actions on rotated heart charges are not exactly "
             "representable; apply the rotation afterwards instead"
         )
-    minv = mat_inv([list(r) for r in g.m])
+    minv = mat_inv(g.m)
     new_z = []
     for zv in zc.z:
         w = RatComplex(

@@ -234,7 +234,6 @@ class HNResult:
 
     chain_dims: tuple
     factors: tuple  # ((class, phase), ...)
-    chain_witnesses: tuple = ()  # per-vertex bases of the chain subobjects
 
     def phase_top(self) -> PhaseValue:
         return self.factors[0][1]
@@ -276,11 +275,7 @@ def hn_filtration(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> HNResult:
     for lo, hi in zip(chain, chain[1:]):
         cls = lat.interval_quotient_class(lo, hi)
         factors.append((cls, zc.phase(cls)))
-    return HNResult(
-        tuple(lat.entries[i].dims for i in chain),
-        tuple(factors),
-        tuple(lat.basis_of(i) for i in chain),
-    )
+    return HNResult(tuple(lat.entries[i].dims for i in chain), tuple(factors))
 
 
 def _hn_extremes(lat: SubobjectLattice, zc: HeartCharge) -> tuple:

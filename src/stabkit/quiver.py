@@ -10,10 +10,10 @@ is nothing above Ext^1).
 Everything is exact integer arithmetic mod p; the enumeration cost is
 controlled by a hard resource bound on the total dimension.  A vector of
 F_p^d is a tuple, and a subspace holds its vectors and a basis.  Every
-rank and kernel comes from one elimination on packed rows, one Python
-int per nonzero value of F_p (a single bit plane over F_2).  A
-subobject lattice fixes its containment order on first read, so a
-semistability verdict, which needs none, never builds it.
+rank, kernel, change of basis and basis completion comes from one
+elimination on packed rows, one Python int per nonzero value of F_p (a
+single bit plane over F_2).  A subobject lattice fixes its containment
+order on first read, so a semistability verdict never builds it.
 """
 
 from __future__ import annotations
@@ -607,22 +607,18 @@ class SubobjectLattice:
         return tuple(y - x for x, y in zip(a.dims, b.dims))
 
 
-def _solve_in_basis(basis: Sequence[tuple], target: tuple, p: int) -> list[int]:
-    """Coordinates of target in the given independent family (must lie in
-    the span)."""
-    if not basis:
-        if any(x % p for x in target):
-            raise InvariantError("vector outside subspace")
+def _coordinates(basis: Sequence[tuple], targets: Sequence[tuple], p: int) -> list:
+    """Coordinates of each target vector in the independent family basis,
+    from one elimination on the columns [basis | targets], whose pivots are
+    the basis columns unless a target lies outside the span."""
+    if not targets:
         return []
-    rows = [[basis[j][i] for j in range(len(basis))] for i in range(len(target))]
-    aug = [row + [target[i]] for i, row in enumerate(rows)]
-    red, pivots = rref_mod_p(aug, p)
-    coords = [0] * len(basis)
-    for r, c in enumerate(pivots):
-        if c == len(basis):
-            raise InvariantError("vector outside subspace")
-        coords[c] = red[r][len(basis)]
-    return coords
+    k = len(basis)
+    pivots = _echelon([_pack(row, p) for row in zip(*basis, *targets)], k + len(targets), p)
+    if sum(pivots) != (1 << k) - 1:
+        raise InvariantError("vector outside subspace")
+    red, _ = _reduced(pivots, p)
+    return [[_entry(x, 1 << (k + j)) for x in red] for j in range(len(targets))]
 
 
 def _rep_in_bases(
@@ -638,28 +634,24 @@ def _rep_in_bases(
         dropped = [()] * Q.n
     mats = []
     for idx, (a, b) in enumerate(Q.arrows):
-        target = tuple(dropped[b]) + tuple(bases[b])
-        cols = [
-            _solve_in_basis(target, mat_apply(E.mats[idx], v, p), p)[len(dropped[b]):]
-            for v in bases[a]
-        ]
-        mats.append(tuple(tuple(c[i] for c in cols) for i in range(len(bases[b]))))
+        images = [mat_apply(E.mats[idx], v, p) for v in bases[a]]
+        cols = _coordinates(tuple(dropped[b]) + tuple(bases[b]), images, p)
+        skip = len(dropped[b])
+        mats.append(tuple(tuple(c[skip + i] for c in cols) for i in range(len(bases[b]))))
     return QuiverRep(tuple(len(x) for x in bases), tuple(mats), Q)
 
 
 def _extend_basis(basis: Sequence[tuple], d: int, p: int) -> list[tuple]:
-    """Complete a basis of a subspace to a basis of F_p^d; returns the
+    """Complete a basis of a subspace S to a basis of F_p^d; returns the
     added vectors, each the first of _vectors(d, p) outside the span so
-    far."""
-    rows = [_pack(v, p) for v in basis]
-    added = []
-    for v in _vectors(d, p):
-        if len(rows) == d:
-            break
-        if len(_echelon(rows + [_pack(v, p)], d, p)) > len(rows):
-            rows.append(_pack(v, p))
-            added.append(v)
-    return added
+    far.  The vectors before the first one outside S, last nonzero
+    coordinate m, lie in S, so S holds e_0, ..., e_{m-1} and that vector
+    is e_m.  So the added vectors are the e_m for which no vector of S has
+    its last nonzero coordinate at m: the columns without a pivot when the
+    basis is eliminated last coordinate first."""
+    pivots = _echelon([_pack(v[::-1], p) for v in basis], d, p)
+    last = {d - bit.bit_length() for bit in pivots}
+    return [tuple(int(i == m) for i in range(d)) for m in range(d) if m not in last]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from stabkit.lattice import InputError
 from stabkit.quiver import Quiver
 
 F = Fraction
+A2_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "a2.json")
 
 
 @pytest.fixture
@@ -300,6 +302,26 @@ class TestQuiverCommands:
                      "--bound", "3,3,3"])
         assert code == 2
         assert "total dimension 9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["deform", "--eps", "1/8", "--perturb", "5:1/10,0"],
+            ["deform", "--eps", "1/8", "--perturb=-1:1/10,0"],
+            ["deform", "--eps", "1/8", "--perturb", "0:1/10,0;0:1/5,0"],
+            ["tilt", "--torsion", "d7=0"],
+        ],
+        ids=["perturb-past-the-last-vertex", "perturb-negative", "perturb-twice", "torsion"],
+    )
+    def test_unknown_or_repeated_vertex_is_exit_2(self, argv, monkeypatch, capsys):
+        def no_sweep(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "deformation_test", no_sweep)
+        monkeypatch.setattr(cli, "tilt_heart_check", no_sweep)
+        code = main(["quiver", argv[0], "--config", A2_CONFIG, "--bound", "2,2", *argv[1:]])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCurveCommands:

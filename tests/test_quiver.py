@@ -2,14 +2,16 @@ import itertools
 
 import pytest
 
+from stabkit import quiver
 from stabkit.lattice import InputError, InvariantError
 from stabkit.quiver import (
     Quiver,
     QuiverRep,
     ResourceBound,
     SubobjectLattice,
+    _coordinates,
+    _extend_basis,
     _hom_combinations,
-    _solve_in_basis,
     count_reps,
     enumerate_matrices,
     enumerate_reps,
@@ -273,8 +275,49 @@ class TestEnumeration:
             enumerate_reps(Q, (3, 3, 3))
 
 
-class TestSolveInBasis:
+class TestCoordinates:
     @pytest.mark.parametrize("basis", [(), ((1, 0),)], ids=["empty", "line"])
     def test_vector_outside_the_span_raises(self, basis):
         with pytest.raises(InvariantError):
-            _solve_in_basis(basis, (0, 1), 2)
+            _coordinates(basis, [(0, 1)], 2)
+
+
+class TestOneElimination:
+    """Each change of basis is one elimination: basis completion makes one
+    _echelon call, and a sub or quotient rep at most one per arrow on top
+    of one completion per vertex."""
+
+    @pytest.fixture
+    def echelons(self, monkeypatch):
+        calls = []
+        echelon = quiver._echelon
+
+        def counting(rows, cols, p):
+            calls.append(cols)
+            return echelon(rows, cols, p)
+
+        monkeypatch.setattr(quiver, "_echelon", counting)
+        return calls
+
+    @pytest.mark.parametrize("p,d", [(2, 4), (3, 3), (5, 2)])
+    def test_extend_basis_eliminates_once(self, p, d, echelons):
+        for sp in subspaces_of(d, p):
+            echelons.clear()
+            assert len(_extend_basis(sp.basis, d, p)) == d - sp.dim
+            assert len(echelons) == 1
+
+    @pytest.mark.parametrize(
+        "Q,max_dims",
+        [(Quiver.a_n(3), (2, 1, 2)), (Quiver.a_n(2, p=3), (2, 2)), (Quiver.kronecker(2), (2, 2))],
+        ids=["A3", "A2-F3", "K2"],
+    )
+    def test_sub_and_quotient_reps_eliminate_once_per_arrow(self, Q, max_dims, echelons):
+        for E in enumerate_reps(Q, max_dims):
+            lat = SubobjectLattice(E, Q)
+            for i in range(len(lat)):
+                echelons.clear()
+                lat.sub_rep(i)
+                assert len(echelons) <= len(Q.arrows)
+                echelons.clear()
+                lat.quotient_rep(i)
+                assert len(echelons) <= Q.n + len(Q.arrows)
