@@ -183,7 +183,9 @@ def parse_rep(spec: str, Q: Quiver) -> QuiverRep:
     for part in spec.split(";"):
         if not part.strip():
             continue
-        key, val = part.split("=", 1)
+        key, sep, val = part.partition("=")
+        if not sep:
+            raise InputError(f"--rep expects dims=[...];f=[...], got {spec!r}")
         fields[key.strip()] = ast.literal_eval(val.strip())
     if "dims" not in fields:
         raise InputError("rep spec needs dims=[...]")
@@ -237,7 +239,10 @@ def parse_iso(spec: str, lat: NSLattice):
 
 
 def parse_bound_pair(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise InputError(f"--bound expects n,n,..., got {text!r}")
 
 
 def _write(path, content: str):
@@ -435,9 +440,12 @@ def cmd_quiver_deform(args) -> int:
     elif args.perturb is not None:
         deltas = {}
         for part in args.perturb.split(";"):
-            idx, val = part.split(":")
-            re_s, im_s = val.split(",")
-            i = int(idx)
+            try:
+                idx, val = part.split(":")
+                re_s, im_s = val.split(",")
+                i = int(idx)
+            except ValueError:
+                raise InputError(f"--perturb expects i:re,im;..., got {part!r}")
             if i in deltas:
                 raise InputError(f"--perturb names vertex {i} twice")
             if i not in range(Q.n):

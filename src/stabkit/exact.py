@@ -24,8 +24,9 @@ The last three share one order protocol, ``_ExactOrder``: each type
 gives ``_cmp(other)``, the exact sign of self - other, and ``==``,
 ``<``, ``<=``, ``>`` and ``>=`` each make one ``_cmp`` call.  Equality
 accepts only int, Fraction and the same type.  When two values cannot be
-compared by exact arithmetic (Quads of different fields, SqrtSums), one
-loop, ``_separate``, refines their rational enclosures until they part.
+compared by exact arithmetic (Quads of different fields, SqrtSums, a
+phase at an angle outside the cotangent table), one loop, ``_separate``,
+refines their rational enclosures until they part.
 
 Floats appear only as display values.
 """
@@ -98,19 +99,6 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, d
 
 
-def rational_sqrt(q) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None."""
-    q = as_fraction(q)
-    if q < 0:
-        return None
-    if q == 0:
-        return Fraction(0)
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _sqrt_enclosure(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     """Rational enclosure of sqrt(q), q >= 0, of width about 2^-bits."""
     q = as_fraction(q)
@@ -151,9 +139,6 @@ class RatComplex:
         other = _coerce_complex(other)
         return RatComplex(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other) -> "RatComplex":
-        return _coerce_complex(other) - self
-
     def __neg__(self) -> "RatComplex":
         return RatComplex(-self.re, -self.im)
 
@@ -165,9 +150,6 @@ class RatComplex:
         )
 
     __rmul__ = __mul__
-
-    def conj(self) -> "RatComplex":
-        return RatComplex(self.re, -self.im)
 
     def scale(self, c) -> "RatComplex":
         c = as_fraction(c)
@@ -182,9 +164,6 @@ class RatComplex:
     def in_upper_closure(self) -> bool:
         """Membership in H-bar = {Im > 0} union R_{<0}."""
         return self.im > 0 or (self.im == 0 and self.re < 0)
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
     def __str__(self) -> str:
         return f"({frac_str(self.re)})+({frac_str(self.im)})i"
@@ -392,14 +371,6 @@ def _coerce_quad(x) -> Quad:
 # ---------------------------------------------------------------------------
 # exact trigonometry at rational multiples of pi (small denominators)
 
-_COS_TABLE = {
-    Fraction(0): Quad(1),
-    Fraction(1, 6): Quad(0, _HALF, 3),
-    Fraction(1, 4): Quad(0, _HALF, 2),
-    Fraction(1, 3): Quad(_HALF),
-    Fraction(1, 2): Quad(0),
-}
-
 _COT_TABLE = {
     Fraction(1, 12): Quad(2, 1, 3),
     Fraction(1, 8): Quad(1, 1, 2),
@@ -410,31 +381,6 @@ _COT_TABLE = {
     Fraction(3, 8): Quad(-1, 1, 2),
     Fraction(1, 2): Quad(0),
 }
-
-
-def cos_pi(q) -> Quad:
-    """cos(pi*q), exact, for rational q with denominator dividing 6 or 4."""
-    q = as_fraction(q) % 2
-    if q > 1:
-        q = 2 - q
-    sign = 1
-    if q > _HALF:
-        q, sign = 1 - q, -1
-    if q in _COS_TABLE:
-        return _COS_TABLE[q] * sign
-    raise ExactnessError(
-        f"cos(pi*{q}) is outside the supported quadratic table "
-        "(denominator must divide 6 or 4)"
-    )
-
-
-def sin2_pi(q) -> Quad:
-    """Exact sin^2(pi*q) for rational q with denominator dividing 12 or 8.
-
-    sin^2(pi q) = (1 - cos(2 pi q))/2 and cos(2 pi q) then has
-    denominator dividing 6 or 4, hence lies in one quadratic field.
-    """
-    return (Quad(1) - cos_pi(2 * as_fraction(q))) / 2
 
 
 def cot_pi(q) -> Quad:
@@ -460,6 +406,16 @@ def tan_pi(q) -> Quad:
         raise ValueError("tan_pi expects |q| < 1/2")
     s = 1 if q > 0 else -1
     return cot_pi(_HALF - abs(q)) * s  # tan(x) = cot(pi/2 - x)
+
+
+def sin2_pi(q) -> Quad:
+    """Exact sin^2(pi*q) for rational q with denominator dividing 12 or 8:
+    sin^2 = 1/(1 + cot^2), and 0 at integers."""
+    q = as_fraction(q)
+    if q.denominator == 1:
+        return Quad(0)
+    c = cot_pi(q)
+    return Quad(1) / (c * c + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +509,7 @@ class PhaseValue(_ExactOrder):
     __slots__ = ("offset", "x", "y")
 
     def __init__(self, direction=(1, 0), offset=0):
-        if isinstance(direction, RatComplex):
-            x, y = direction.re, direction.im
-        else:
-            x, y = direction
+        x, y = direction
         if not isinstance(x, int):
             x = as_fraction(x)
         if not isinstance(y, int):
@@ -673,15 +626,7 @@ class PhaseValue(_ExactOrder):
         # the angle is an irrational multiple of pi (its tangent is
         # rational but not 0 or +-1), so the value is nonzero and
         # certified enclosures separate it from zero
-        for n in (24, 48, 96, 192, 384, 768):
-            lo, hi = arg_over_pi_bounds(self.x, self.y, n)
-            if q + lo > 0:
-                return 1
-            if q + hi < 0:
-                return -1
-        raise ExactnessError(
-            f"could not separate {self!r} from zero at 768 series terms"
-        )
+        return _separate(self, Quad(0))
 
     def _cmp(self, other) -> int:
         if not isinstance(other, (int, Fraction, PhaseValue)):
@@ -689,6 +634,11 @@ class PhaseValue(_ExactOrder):
         return (self - other).sign()
 
     __hash__ = None  # type: ignore[assignment]
+
+    def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
+        """Rational enclosure from 3/4 as many arctan series terms as bits."""
+        lo, hi = arg_over_pi_bounds(self.x, self.y, bits * 3 // 4)
+        return self.offset + lo, self.offset + hi
 
     # -- misc ----------------------------------------------------------
 

@@ -36,6 +36,7 @@ from .lattice import (
     mat_inv,
     mat_mul,
     mat_vec,
+    require_keys,
 )
 
 _HALF = Fraction(1, 2)
@@ -122,8 +123,11 @@ class GLTildeElement:
 
     @staticmethod
     def from_json_dict(data: dict) -> "GLTildeElement":
-        if "rot" in data:
+        if isinstance(data, dict) and "rot" in data:
             return GLTildeElement.rotation(Fraction(str(data["rot"])))
+        require_keys(data, ("M", "f0"), "group element")
+        if not isinstance(data["f0"], (str, int)):
+            require_keys(data["f0"], ("offset", "dir"), "f0")
         m = tuple(tuple(Fraction(str(x)) for x in row) for row in data["M"])
         return GLTildeElement(m=m, f0=PhaseValue.from_json(data["f0"]))
 

@@ -27,7 +27,6 @@ from .exact import (
     RatComplex,
     SqrtSum,
     as_fraction,
-    cos_pi,
     sin2_pi,
 )
 from .lattice import InputError, InvariantError
@@ -669,7 +668,7 @@ def deformation_test(
 
     Supported charge pairs: equal rotations (a genuine coefficient
     perturbation, exact rational norm) or equal coefficients (a pure
-    rotation, norm 2 - 2 cos(pi delta) exactly).
+    rotation, norm 4 sin^2(pi delta / 2) exactly).
     """
     eps = as_fraction(eps)
     if not eps < Fraction(1, 2):
@@ -679,8 +678,8 @@ def deformation_test(
         norm = stability_norm(diff, zc, Q, max_dims)
     elif wc.z == zc.z:
         delta = wc.rot - zc.rot
-        # |e^{i pi d} - 1|^2 = 2 - 2 cos(pi d), uniform over every class
-        norm = NormValue(Quad(2) - cos_pi(delta) * 2, True)
+        # |e^{i pi d} - 1|^2 = 4 sin^2(pi d / 2), uniform over every class
+        norm = NormValue(sin2_pi(delta / 2) * 4, True)
     else:
         raise ExactnessError(
             "deformation_test supports coefficient perturbations at equal "

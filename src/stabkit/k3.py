@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .exact import PhaseValue, Quad, RatComplex, as_fraction, rational_sqrt
+from .exact import PhaseValue, Quad, RatComplex, as_fraction
 from .lattice import (
     ComplexMukaiVector,
     DeltaBox,
@@ -227,7 +227,7 @@ def heart_image_check(zc: K3CentralCharge, bounds: DeltaBox) -> HeartImageReport
     violations = []
     checked = 0
     l_range = range(-bounds.l_max, bounds.l_max + 1)
-    for r in range(-bounds.r_max, bounds.r_max + 1):
+    for r in range(bounds.r_max + 1):  # every branch needs r >= 0
         for l in itertools.product(l_range, repeat=lat.rank):
             for s in range(-bounds.s_max, bounds.s_max + 1):
                 v = MukaiVector(r, l, s)
@@ -240,12 +240,12 @@ def heart_image_check(zc: K3CentralCharge, bounds: DeltaBox) -> HeartImageReport
                     val = z if side == "T" else -z
                     if not val.in_upper_closure():
                         violations.append((v, side, z))
-                elif r == 0 and any(x != 0 for x in l):
+                elif any(x != 0 for x in l):
                     if lat.ns_dot(zc.omega, l) > 0:
                         checked += 1
                         if not z.im > 0:
                             violations.append((v, "curve", z))
-                elif r == 0 and s > 0:
+                elif s > 0:
                     checked += 1
                     if not (z.im == 0 and z.re < 0):
                         violations.append((v, "point", z))
@@ -329,8 +329,7 @@ def normalize_to_exp_form(Om: ComplexMukaiVector, lat: NSLattice) -> ExpNormalFo
     ratio = re_sq / im0_sq
     if ratio <= 0:
         raise InputError("normalization produced omega^2 <= 0")
-    root = rational_sqrt(ratio)
-    lam = Quad(root) if root is not None else Quad.sqrt_of(ratio)
+    lam = Quad.sqrt_of(ratio)
     if (Quad(a * d0 - b * c0) * lam).sign() < 0:
         lam = -lam
 

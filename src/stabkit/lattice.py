@@ -24,6 +24,15 @@ class InputError(ValueError):
     """Invalid user input (dimension mismatch, bad invariants, ...)."""
 
 
+def require_keys(data, keys: Sequence[str], what: str) -> None:
+    """Raise InputError unless data is a JSON object holding every key."""
+    if not isinstance(data, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise InputError(f"{what} has no {key!r} key")
+
+
 def _halve(x):
     """Exact x/2 for int, Fraction or any exact field element."""
     if isinstance(x, int):
@@ -319,6 +328,7 @@ class NSLattice:
 
     @staticmethod
     def from_json_dict(data: dict) -> "NSLattice":
+        require_keys(data, ("gram", "ample_ref"), "lattice file")
         gram = data["gram"]
         if "rank" in data and len(gram) != data["rank"]:
             raise InputError("rank disagrees with gram size")

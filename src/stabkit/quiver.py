@@ -19,6 +19,7 @@ order on first read, so a semistability verdict never builds it.
 from __future__ import annotations
 
 import functools
+import graphlib
 import itertools
 import json
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import InvariantError, RatComplex
-from .lattice import InputError
+from .lattice import InputError, require_keys
 
 
 class ResourceBound(RuntimeError):
@@ -208,6 +209,7 @@ class Subspace:
     dim: int
     elems: frozenset  # its vectors
     basis: tuple  # tuple of vector tuples
+    completion: tuple  # the vectors _extend_basis adds to the basis
 
 
 @functools.lru_cache(maxsize=None)
@@ -217,7 +219,7 @@ def subspaces_of(d: int, p: int) -> tuple:
     extends a basis of lower dimension by the first vector of
     _vectors(d, p) that leads to a new subspace."""
     vectors = _vectors(d, p)
-    zero = Subspace(0, frozenset(vectors[:1]), ())
+    zero = Subspace(0, frozenset(vectors[:1]), (), _extend_basis((), d, p))
     found = {zero.elems: zero}
     frontier = [zero]
     while frontier:
@@ -234,7 +236,8 @@ def subspaces_of(d: int, p: int) -> tuple:
                 )
                 covered |= key
                 if key not in found:
-                    new = Subspace(sp.dim + 1, key, sp.basis + (v,))
+                    basis = sp.basis + (v,)
+                    new = Subspace(sp.dim + 1, key, basis, _extend_basis(basis, d, p))
                     found[key] = new
                     nxt.append(new)
         frontier = nxt
@@ -276,24 +279,13 @@ class Quiver:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arrows", arrows)
         object.__setattr__(self, "p", p)
-        if self._topological_order() is None:
+        order = graphlib.TopologicalSorter()
+        for a, b in arrows:
+            order.add(b, a)
+        try:
+            order.prepare()
+        except graphlib.CycleError:
             raise InputError("quiver must be acyclic")
-
-    def _topological_order(self) -> Optional[list[int]]:
-        indeg = [0] * self.n
-        for _, b in self.arrows:
-            indeg[b] += 1
-        queue = [v for v in range(self.n) if indeg[v] == 0]
-        order = []
-        while queue:
-            v = queue.pop()
-            order.append(v)
-            for a, b in self.arrows:
-                if a == v:
-                    indeg[b] -= 1
-                    if indeg[b] == 0:
-                        queue.append(b)
-        return order if len(order) == self.n else None
 
     @staticmethod
     def a_n(n: int, p: int = 2) -> "Quiver":
@@ -306,6 +298,7 @@ class Quiver:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Quiver":
+        require_keys(data, ("vertices", "arrows", "p"), "quiver config")
         return Quiver(data["vertices"], [tuple(a) for a in data["arrows"]], data["p"])
 
     def to_json_dict(self) -> dict:
@@ -584,22 +577,23 @@ class SubobjectLattice:
     def __iter__(self):
         return iter(self.entries)
 
+    def _spaces(self, i: int) -> list:
+        """Per-vertex subspaces of the subobject."""
+        return [sub[s] for sub, s in zip(self._per_vertex, self.entries[i].space_idx)]
+
     def basis_of(self, i: int) -> tuple:
         """Per-vertex bases of the subobject (tuples of vectors)."""
-        e = self.entries[i]
-        return tuple(
-            self._per_vertex[v][e.space_idx[v]].basis for v in range(self.Q.n)
-        )
+        return tuple(sp.basis for sp in self._spaces(i))
 
     def sub_rep(self, i: int) -> QuiverRep:
         """The subobject as a representation, in its own basis."""
         return _rep_in_bases(self.E, self.Q, self.basis_of(i))
 
     def quotient_rep(self, i: int) -> QuiverRep:
-        """E modulo the subobject, in a completion of the subobject's basis."""
-        bases = self.basis_of(i)
-        added = [_extend_basis(b, d, self.Q.p) for b, d in zip(bases, self.E.dims)]
-        return _rep_in_bases(self.E, self.Q, added, bases)
+        """E modulo the subobject, in the completion of the subobject's basis."""
+        spaces = self._spaces(i)
+        added = [sp.completion for sp in spaces]
+        return _rep_in_bases(self.E, self.Q, added, [sp.basis for sp in spaces])
 
     def interval_quotient_class(self, lo: int, hi: int) -> tuple:
         """Dimension vector of entries[hi]/entries[lo] (assumes lo <= hi)."""
@@ -641,7 +635,7 @@ def _rep_in_bases(
     return QuiverRep(tuple(len(x) for x in bases), tuple(mats), Q)
 
 
-def _extend_basis(basis: Sequence[tuple], d: int, p: int) -> list[tuple]:
+def _extend_basis(basis: Sequence[tuple], d: int, p: int) -> tuple:
     """Complete a basis of a subspace S to a basis of F_p^d; returns the
     added vectors, each the first of _vectors(d, p) outside the span so
     far.  The vectors before the first one outside S, last nonzero
@@ -651,7 +645,7 @@ def _extend_basis(basis: Sequence[tuple], d: int, p: int) -> list[tuple]:
     basis is eliminated last coordinate first."""
     pivots = _echelon([_pack(v[::-1], p) for v in basis], d, p)
     last = {d - bit.bit_length() for bit in pivots}
-    return [tuple(int(i == m) for i in range(d)) for m in range(d) if m not in last]
+    return tuple(tuple(int(i == m) for i in range(d)) for m in range(d) if m not in last)
 
 
 # ---------------------------------------------------------------------------

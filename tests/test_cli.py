@@ -324,6 +324,55 @@ class TestQuiverCommands:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestMalformedInput:
+    """Malformed files and option values exit 2 with a message that names
+    what is wrong, not with Python's own message (or exit 3)."""
+
+    @pytest.mark.parametrize(
+        "data, argv, message",
+        [
+            ({"vertices": 2, "p": 2}, ["quiver", "check", "--suite", "gp", "--config"],
+             "quiver config has no 'arrows' key"),
+            ([2], ["quiver", "check", "--suite", "gp", "--config"],
+             "quiver config must be a JSON object, got list"),
+            ({"ample_ref": [1]}, ["k3", "guard", "--B", "0", "--omega", "t*h", "--t", "2",
+                                  "--lattice"],
+             "lattice file has no 'gram' key"),
+            ({"M": [["1", "0"], ["0", "1"]]}, ["group", "compose", "--h", "{}", "--g"],
+             "group element has no 'f0' key"),
+            ({"M": [["1", "0"], ["0", "1"]], "f0": {"dir": [1, 0]}},
+             ["group", "compose", "--h", "{}", "--g"], "f0 has no 'offset' key"),
+        ],
+        ids=["quiver-key", "quiver-list", "lattice-key", "group-key", "f0-key"],
+    )
+    def test_config_files(self, tmp_path, capsys, data, argv, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert main([*argv, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_inline_group_element(self, capsys):
+        assert main(["group", "compose", "--g", "{}", "--h", "{}"]) == 2
+        assert capsys.readouterr().err == "error: group element has no 'M' key\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["deform", "--eps", "1/8", "--bound", "2,2", "--perturb", "0:1"],
+             "--perturb expects i:re,im;..., got '0:1'"),
+            (["deform", "--eps", "1/8", "--bound", "2,2", "--perturb", "x:1,0"],
+             "--perturb expects i:re,im;..., got 'x:1,0'"),
+            (["check", "--suite", "gp", "--bound", "2,x"],
+             "--bound expects n,n,..., got '2,x'"),
+            (["hn", "--rep", "dims"], "--rep expects dims=[...];f=[...], got 'dims'"),
+        ],
+        ids=["perturb-no-comma", "perturb-vertex", "bound", "rep"],
+    )
+    def test_option_values(self, capsys, argv, message):
+        assert main(["quiver", argv[0], "--config", A2_CONFIG, *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestCurveCommands:
     def test_decompose_identity(self, capsys):
         assert main(["curve", "decompose", "--m", "0,-1;1,0"]) == 0

@@ -14,10 +14,8 @@ from stabkit.exact import (
     Quad,
     RatComplex,
     SqrtSum,
-    cos_pi,
     cot_pi,
     frac_str,
-    rational_sqrt,
     sin2_pi,
     squarefree_split,
     tan_pi,
@@ -40,9 +38,10 @@ def test_squarefree_split():
 
 
 def test_rational_sqrt():
-    assert rational_sqrt(F(9, 4)) == F(3, 2)
-    assert rational_sqrt(F(2)) is None
-    assert rational_sqrt(F(0)) == 0
+    assert Quad.sqrt_of(F(9, 4)) == F(3, 2)
+    assert Quad.sqrt_of(F(9, 4)).is_rational()
+    assert not Quad.sqrt_of(F(2)).is_rational()
+    assert Quad.sqrt_of(F(0)) == 0
 
 
 class TestRatComplex:
@@ -83,9 +82,6 @@ class TestQuad:
 
 
 def test_trig_tables():
-    assert cos_pi(F(1, 3)) == F(1, 2)
-    assert cos_pi(F(2, 3)) == F(-1, 2)
-    assert cos_pi(F(5, 3)) == F(1, 2)
     assert sin2_pi(F(1, 6)) == F(1, 4)
     assert sin2_pi(F(1, 8)) == (2 - Quad(0, 1, 2)) / 4
     assert sin2_pi(F(1, 2)) == 1

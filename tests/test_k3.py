@@ -245,6 +245,12 @@ class TestHeartImage:
         assert rep.ok
         assert rep.checked > 100
 
+    def test_checked_counts_are_pinned(self, lat1, lat2c):
+        # recorded when the sweep still built the r < 0 classes it skips
+        assert heart_image_check(charge(lat1, 2), DeltaBox.cube(6)).checked == 885
+        zc = K3CentralCharge(lat2c, [0, 0], [2, F(1, 2)])
+        assert heart_image_check(zc, DeltaBox.cube(4)).checked == 1858
+
     def test_point_class_branch(self, lat1):
         zc = charge(lat1, 2)
         z = central_charge(zc, MukaiVector(0, (0,), 1))

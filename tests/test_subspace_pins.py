@@ -10,7 +10,8 @@ vector tuples; print the digests again with
 
 The other checks share no code with the enumeration: each element set
 is the span of its basis, computed by summing every combination; no
-span appears twice; and the counts are the Gaussian-binomial sums.
+span appears twice; each stored completion extends the basis to all of
+F_p^d; and the counts are the Gaussian-binomial sums.
 """
 
 import hashlib
@@ -77,6 +78,13 @@ def test_elements_are_the_span_of_the_basis(d, p):
         assert sp.elems == span
         spans.add(span)
     assert len(spans) == len(subspaces_of(d, p))  # no subspace twice
+
+
+@pytest.mark.parametrize("d, p", TABLES)
+def test_completion_and_basis_span_everything(d, p):
+    for sp in subspaces_of(d, p):
+        assert len(sp.completion) == d - sp.dim
+        assert len(_span(sp.basis + sp.completion, d, p)) == p**d
 
 
 @pytest.mark.parametrize("d, p", TABLES)
