@@ -178,6 +178,14 @@ def parse_mukai_vector(text: str, rank: int) -> MukaiVector:
     return MukaiVector.from_coords(tuple(vals))
 
 
+def _int_array(value, depth: int) -> bool:
+    """Whether value is an int (depth 0), or a list or tuple of int arrays
+    of depth - 1."""
+    if depth == 0:
+        return isinstance(value, int)
+    return isinstance(value, (list, tuple)) and all(_int_array(v, depth - 1) for v in value)
+
+
 def parse_rep(spec: str, Q: Quiver) -> QuiverRep:
     fields = {}
     for part in spec.split(";"):
@@ -189,12 +197,17 @@ def parse_rep(spec: str, Q: Quiver) -> QuiverRep:
         fields[key.strip()] = ast.literal_eval(val.strip())
     if "dims" not in fields:
         raise InputError("rep spec needs dims=[...]")
-    dims = tuple(int(x) for x in fields["dims"])
+    dims = fields["dims"]
+    if not _int_array(dims, 1):
+        raise InputError(f"--rep dims must be a list of integers, got {dims!r}")
     mats = fields.get("f", [])
     if len(Q.arrows) == 1 and mats and not (
-        mats and isinstance(mats[0], list) and mats[0] and isinstance(mats[0][0], list)
+        isinstance(mats, list) and isinstance(mats[0], list) and mats[0]
+        and isinstance(mats[0][0], list)
     ):
         mats = [mats]
+    if not _int_array(mats, 3):
+        raise InputError(f"--rep f must be a list of integer matrices, got {fields['f']!r}")
     if len(mats) != len(Q.arrows):
         raise InputError(
             f"need {len(Q.arrows)} matrices (got {len(mats)}); "

@@ -37,6 +37,7 @@ from .lattice import (
     mat_mul,
     mat_vec,
     require_keys,
+    require_list,
 )
 
 _HALF = Fraction(1, 2)
@@ -128,6 +129,10 @@ class GLTildeElement:
         require_keys(data, ("M", "f0"), "group element")
         if not isinstance(data["f0"], (str, int)):
             require_keys(data["f0"], ("offset", "dir"), "f0")
+            require_list(data["f0"]["dir"], "f0 'dir'", 2)
+        require_list(data["M"], "group element 'M'", 2)
+        for row in data["M"]:
+            require_list(row, "group element 'M' row", 2)
         m = tuple(tuple(Fraction(str(x)) for x in row) for row in data["M"])
         return GLTildeElement(m=m, f0=PhaseValue.from_json(data["f0"]))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -43,6 +44,22 @@ from .quiver import (
     hom_space,
     mat_is_invertible,
 )
+
+
+_SLOT = threading.local()
+
+
+def _lattice(E: QuiverRep, Q: Quiver) -> SubobjectLattice:
+    """E's subobject lattice, from a one-slot memo per thread: calls made
+    in a row on one rep (greedy HN then its oracle, a verdict then
+    Jordan-Holder) share one lattice and its masks.  The slot holds E, so
+    no other rep can take E's id while it is matched by identity."""
+    last = getattr(_SLOT, "last", None)
+    if last is not None and last[0] is E and last[1] == Q:
+        return last[2]
+    lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
+    _SLOT.last = E, Q, lat
+    return lat
 
 
 def _charge_values(lat: SubobjectLattice, zc: HeartCharge) -> list:
@@ -210,7 +227,7 @@ def _lattice_verdict(E: QuiverRep, zc: HeartCharge, Q: Quiver):
     entry index of E's maximal destabilizer."""
     if E.is_zero():
         raise InputError("the zero representation has no stability verdict")
-    lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
+    lat = _lattice(E, Q)
     values = _charge_values(lat, zc)
     return (lat, values, *_verdict(lat, values))
 
@@ -268,7 +285,7 @@ def hn_filtration(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> HNResult:
     """
     if E.is_zero():
         raise InputError("the zero representation has no HN filtration")
-    lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
+    lat = _lattice(E, Q)
     chain = _hn_chain(lat, _charge_values(lat, zc))
     factors = []
     for lo, hi in zip(chain, chain[1:]):
@@ -296,31 +313,40 @@ def hn_oracle(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> list:
     phase, found by brute force over the subobject lattice.  Returns the
     list of chains (as tuples of dimension vectors); Harder-Narasimhan
     uniqueness says there is exactly one."""
-    lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
+    lat = _lattice(E, Q)
     values = _charge_values(lat, zc)
-    above, below = lat.above, lat.below
-
-    def factor_semistable(lo: int, hi: int) -> bool:
-        base = _cls(values, lo, hi)
-        for mid in _bits(above[lo] & below[hi]):
-            if _cross(base, _cls(values, lo, mid)) > 0:  # sub phase above factor
-                return False
-        return True
-
+    above, below, top = lat.above, lat.below, lat.top
     results = []
 
-    def extend(current: int, chain: list, prev_cls: Optional[tuple]):
-        if current == lat.top:
+    def extend(current: int, chain: list, px, py):
+        """Append every completion of chain, which ends at current, whose
+        next factor has phase below that of the last factor's value
+        (px, py), or any phase if px is None."""
+        if current == top:
             results.append(tuple(lat.entries[i].dims for i in chain))
             return
-        for nxt in _bits(above[current]):
-            cv = _cls(values, current, nxt)
-            if prev_cls is not None and _cross(cv, prev_cls) <= 0:
+        cx, cy = values[current]
+        up = rest = above[current]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nxt = low.bit_length() - 1
+            nx, ny = values[nxt]
+            fx, fy = nx - cx, ny - cy
+            if px is not None and fx * py - fy * px <= 0:
                 continue  # phases must strictly decrease along the chain
-            if factor_semistable(current, nxt):
-                extend(nxt, chain + [nxt], cv)
+            # the factor is semistable iff no subobject of it has higher phase
+            mids = up & below[nxt]
+            while mids:
+                low = mids & -mids
+                mids ^= low
+                mx, my = values[low.bit_length() - 1]
+                if fx * (my - cy) - fy * (mx - cx) > 0:
+                    break
+            else:
+                extend(nxt, chain + [nxt], fx, fy)
 
-    extend(lat.bottom, [lat.bottom], None)
+    extend(lat.bottom, [lat.bottom], None, None)
     return results
 
 
@@ -412,7 +438,7 @@ def torsion_cut(
     if E.is_zero():
         zero = QuiverRep.zero(Q)
         return TorsionCut(zero, zero.dims, zero, zero.dims, True)
-    lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
+    lat = _lattice(E, Q)
     chain = _hn_chain(lat, _charge_values(lat, zc))
     cut = 0
     for lo, hi in zip(chain, chain[1:]):
@@ -475,7 +501,7 @@ def _torsion_pair(
             return report, classes
 
     for E in reps:
-        lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
+        lat = _lattice(E, Q)
         found = False
         for i in range(len(lat.entries)):
             sub = lat.sub_rep(i)
@@ -566,7 +592,7 @@ def slicing_distance(
     """
     extremes = {}  # (top1, bot1, top2, bot2) classes, first-seen order
     for E in enumerate_reps(Q, max_dims):
-        lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
+        lat = _lattice(E, Q)
         extremes[_hn_extremes(lat, zc1) + _hn_extremes(lat, zc2)] = None
     phases1 = _phases(zc1, (c for key in extremes for c in key[:2]))
     phases2 = _phases(zc2, (c for key in extremes for c in key[2:]))
@@ -829,7 +855,7 @@ def local_finiteness_probe(
         raise InputError("eta must be positive")
     groups = {}  # (top, bottom) HN factor classes -> [object count, max total dim]
     for E in enumerate_reps(Q, max_dims):
-        lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
+        lat = _lattice(E, Q)
         group = groups.setdefault(_hn_extremes(lat, zc), [0, 0])
         group[0] += 1
         group[1] = max(group[1], E.total_dim())

@@ -33,6 +33,14 @@ def require_keys(data, keys: Sequence[str], what: str) -> None:
             raise InputError(f"{what} has no {key!r} key")
 
 
+def require_list(data, what: str, length: Optional[int]) -> None:
+    """Raise InputError unless data is a JSON list, of `length` values
+    unless that is None."""
+    if not isinstance(data, list) or length is not None and len(data) != length:
+        shape = "a list" if length is None else f"a list of {length} values"
+        raise InputError(f"{what} must be {shape}, got {data!r}")
+
+
 def _halve(x):
     """Exact x/2 for int, Fraction or any exact field element."""
     if isinstance(x, int):
@@ -330,12 +338,20 @@ class NSLattice:
     def from_json_dict(data: dict) -> "NSLattice":
         require_keys(data, ("gram", "ample_ref"), "lattice file")
         gram = data["gram"]
+        require_list(gram, "lattice file 'gram'", None)
+        for row in gram:
+            require_list(row, "lattice file 'gram' row", None)
+        require_list(data["ample_ref"], "lattice file 'ample_ref'", None)
+        curves = data.get("neg2_curves", [])
+        require_list(curves, "lattice file 'neg2_curves'", None)
+        for curve in curves:
+            require_list(curve, "lattice file 'neg2_curves' entry", None)
         if "rank" in data and len(gram) != data["rank"]:
             raise InputError("rank disagrees with gram size")
         return NSLattice(
             gram,
             [Fraction(str(x)) for x in data["ample_ref"]],
-            data.get("neg2_curves", ()),
+            curves,
         )
 
 

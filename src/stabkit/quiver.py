@@ -28,7 +28,7 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import InvariantError, RatComplex
-from .lattice import InputError, require_keys
+from .lattice import InputError, require_keys, require_list
 
 
 class ResourceBound(RuntimeError):
@@ -299,6 +299,12 @@ class Quiver:
     @staticmethod
     def from_json_dict(data: dict) -> "Quiver":
         require_keys(data, ("vertices", "arrows", "p"), "quiver config")
+        for key in ("vertices", "p"):
+            if not isinstance(data[key], int):
+                raise InputError(f"quiver config {key!r} must be an integer, got {data[key]!r}")
+        require_list(data["arrows"], "quiver config 'arrows'", None)
+        for arrow in data["arrows"]:
+            require_list(arrow, "quiver config 'arrows' entry", 2)
         return Quiver(data["vertices"], [tuple(a) for a in data["arrows"]], data["p"])
 
     def to_json_dict(self) -> dict:
@@ -724,6 +730,9 @@ def load_quiver_config(path) -> tuple[Quiver, "object"]:
     if charge is None:
         zc = None
     else:
+        require_list(charge, "quiver config 'charge'", None)
+        for z in charge:
+            require_list(z, "quiver config 'charge' entry", 2)
         zs = [
             RatComplex(Fraction(str(re)), Fraction(str(im))) for re, im in charge
         ]

@@ -342,8 +342,27 @@ class TestMalformedInput:
              "group element has no 'f0' key"),
             ({"M": [["1", "0"], ["0", "1"]], "f0": {"dir": [1, 0]}},
              ["group", "compose", "--h", "{}", "--g"], "f0 has no 'offset' key"),
+            ({"vertices": 2, "arrows": [[0, 1]], "p": 2, "charge": [[1]]},
+             ["quiver", "check", "--suite", "gp", "--config"],
+             "quiver config 'charge' entry must be a list of 2 values, got [1]"),
+            ({"vertices": 2, "arrows": [[0, 1]], "p": 2, "charge": 5},
+             ["quiver", "check", "--suite", "gp", "--config"],
+             "quiver config 'charge' must be a list, got 5"),
+            ({"vertices": 2, "arrows": [[0]], "p": 2},
+             ["quiver", "check", "--suite", "gp", "--config"],
+             "quiver config 'arrows' entry must be a list of 2 values, got [0]"),
+            ({"vertices": "2", "arrows": [[0, 1]], "p": 2},
+             ["quiver", "check", "--suite", "gp", "--config"],
+             "quiver config 'vertices' must be an integer, got '2'"),
+            ({"gram": [2], "ample_ref": [1]},
+             ["k3", "guard", "--B", "0", "--omega", "t*h", "--t", "2", "--lattice"],
+             "lattice file 'gram' row must be a list, got 2"),
+            ({"gram": [[2]], "ample_ref": [1], "neg2_curves": 3},
+             ["k3", "guard", "--B", "0", "--omega", "t*h", "--t", "2", "--lattice"],
+             "lattice file 'neg2_curves' must be a list, got 3"),
         ],
-        ids=["quiver-key", "quiver-list", "lattice-key", "group-key", "f0-key"],
+        ids=["quiver-key", "quiver-list", "lattice-key", "group-key", "f0-key",
+             "charge-entry", "charge", "arrow", "vertices", "gram-row", "curves"],
     )
     def test_config_files(self, tmp_path, capsys, data, argv, message):
         path = tmp_path / "config.json"
@@ -356,6 +375,21 @@ class TestMalformedInput:
         assert capsys.readouterr().err == "error: group element has no 'M' key\n"
 
     @pytest.mark.parametrize(
+        "element, message",
+        [
+            ('{"M": 5, "f0": "0"}', "group element 'M' must be a list of 2 values, got 5"),
+            ('{"M": [5, 1], "f0": "0"}',
+             "group element 'M' row must be a list of 2 values, got 5"),
+            ('{"M": [["1", "0"], ["0", "1"]], "f0": {"dir": 5, "offset": "0"}}',
+             "f0 'dir' must be a list of 2 values, got 5"),
+        ],
+        ids=["matrix", "row", "f0-dir"],
+    )
+    def test_inline_group_element_shape(self, capsys, element, message):
+        assert main(["group", "compose", "--g", element, "--h", "{}"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["deform", "--eps", "1/8", "--bound", "2,2", "--perturb", "0:1"],
@@ -365,8 +399,14 @@ class TestMalformedInput:
             (["check", "--suite", "gp", "--bound", "2,x"],
              "--bound expects n,n,..., got '2,x'"),
             (["hn", "--rep", "dims"], "--rep expects dims=[...];f=[...], got 'dims'"),
+            (["hn", "--rep", "dims=5"], "--rep dims must be a list of integers, got 5"),
+            (["hn", "--rep", "dims=[1,'a']"],
+             "--rep dims must be a list of integers, got [1, 'a']"),
+            (["hn", "--rep", "dims=[1,1];f=5"],
+             "--rep f must be a list of integer matrices, got 5"),
         ],
-        ids=["perturb-no-comma", "perturb-vertex", "bound", "rep"],
+        ids=["perturb-no-comma", "perturb-vertex", "bound", "rep", "rep-dims",
+             "rep-dims-entry", "rep-f"],
     )
     def test_option_values(self, capsys, argv, message):
         assert main(["quiver", argv[0], "--config", A2_CONFIG, *argv[1:]]) == 2

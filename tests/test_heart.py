@@ -2,6 +2,7 @@ import itertools
 import subprocess
 import sys
 import textwrap
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from stabkit.quiver import (
     QuiverRep,
     SubobjectLattice,
     enumerate_reps,
+    enumerate_reps_of_dims,
     load_quiver_config,
 )
 
@@ -220,6 +222,156 @@ class TestHNFiltration:
         for cls, _ in hnf.factors:
             total = total + zc.base_value(cls)
         assert total == zc.base_value(F.dims)
+
+    def test_matches_oracle_on_f3_kronecker(self):
+        # every rep of the F_3 Kronecker quiver up to (2, 2), under the
+        # charge perfbench's hn_sweep samples it with; the oracle's chains
+        # equal those of the reference walk below, in the same order
+        Q = Quiver.kronecker(2, 3)
+        zc = _charge((-1, 2), (2, 1))
+        count = 0
+        for dims in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            for E in enumerate_reps_of_dims(dims, Q):
+                chains = hn_oracle(E, zc, Q)
+                assert chains == [hn_filtration(E, zc, Q).chain_dims]
+                assert chains == _reference_oracle(E, zc, Q)
+                count += 1
+        assert count == 6732
+
+
+def _reference_oracle(E, zc, Q):
+    """The reference for hn_oracle's inlined walk: the same search with
+    one generator step per bit and a helper call per class and per
+    comparison."""
+    lat = heart._lattice(E, Q)
+    values = heart._charge_values(lat, zc)
+    above, below = lat.above, lat.below
+
+    def factor_semistable(lo, hi):
+        base = heart._cls(values, lo, hi)
+        for mid in heart._bits(above[lo] & below[hi]):
+            if heart._cross(base, heart._cls(values, lo, mid)) > 0:
+                return False
+        return True
+
+    results = []
+
+    def extend(current, chain, prev_cls):
+        if current == lat.top:
+            results.append(tuple(lat.entries[i].dims for i in chain))
+            return
+        for nxt in heart._bits(above[current]):
+            cv = heart._cls(values, current, nxt)
+            if prev_cls is not None and heart._cross(cv, prev_cls) <= 0:
+                continue
+            if factor_semistable(current, nxt):
+                extend(nxt, chain + [nxt], cv)
+
+    extend(lat.bottom, [lat.bottom], None)
+    return results
+
+
+class TestLatticeSlot:
+    """heart keeps the last lattice it built in a one-slot memo per
+    thread, matched by the identity of the rep."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The reps heart built a lattice for, starting from an empty slot."""
+        built = []
+        build = heart.SubobjectLattice
+
+        def counting(E, Q, total_bound):
+            built.append(E)
+            return build(E, Q, total_bound)
+
+        monkeypatch.setattr(heart, "SubobjectLattice", counting)
+        monkeypatch.setattr(heart, "_SLOT", threading.local())
+        return built
+
+    def test_greedy_and_oracle_share_one_build(self, a2, z_swapped, P, builds):
+        hn = hn_filtration(P, z_swapped, a2)
+        assert hn_oracle(P, z_swapped, a2) == [hn.chain_dims]
+        assert builds == [P]
+
+    def test_verdict_and_jordan_holder_share_one_build(self, a2, z_std, S1, builds):
+        E = S1.direct_sum(S1, a2)
+        assert is_semistable(E, z_std, a2).status == "semistable"
+        assert jh_filtration(E, z_std, a2) == [(1, 0), (1, 0)]
+        assert jh_oracle(E, z_std, a2) == {((1, 0), (1, 0))}
+        assert builds == [E]
+
+    def test_an_equal_rep_is_built_again(self, a2, z_std, P, builds):
+        twin = QuiverRep(P.dims, P.mats, a2)
+        assert twin == P and twin is not P
+        assert hn_filtration(P, z_std, a2) == hn_filtration(twin, z_std, a2)
+        assert builds == [P, twin]
+
+    def test_the_slot_holds_one_lattice(self, a2, z_std, P, S1, builds):
+        for E in (P, S1, P):
+            hn_filtration(E, z_std, a2)
+        assert builds == [P, S1, P]
+
+    def test_each_thread_has_its_own_slot(self, a2, z_swapped, P, builds):
+        hn = hn_filtration(P, z_swapped, a2)
+        out = []
+        worker = threading.Thread(target=lambda: out.append(hn_filtration(P, z_swapped, a2)))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert out == [hn]
+        assert builds == [P, P]
+        hn_oracle(P, z_swapped, a2)  # this thread's slot still holds P
+        assert builds == [P, P]
+
+    def test_outputs_match_a_cleared_slot(self, a2, z_std, z_swapped, builds):
+        calls = (hn_filtration, hn_oracle, is_semistable,
+                 lambda E, zc, Q: torsion_cut(E, F(1, 2), zc, Q))
+
+        def outputs(clear):
+            out = []
+            for zc in (z_std, z_swapped):
+                for E in enumerate_reps(a2, (2, 2)):
+                    for call in calls:
+                        if clear:
+                            heart._SLOT.last = None
+                        out.append(call(E, zc, a2))
+            return out
+
+        warm = outputs(clear=False)
+        shared = len(builds)
+        assert outputs(clear=True) == warm
+        assert len(builds) - shared == len(warm) == len(calls) * shared
+
+    def test_threads_agree_with_one_thread(self):
+        # more threads than cores, switching often, each walking the reps
+        # in its own order: every output equals the single-thread one
+        Q = Quiver.kronecker(2, 3)
+        zc = _charge((-1, 2), (2, 1))
+        reps = list(enumerate_reps_of_dims((1, 2), Q))
+        expected = {E: hn_oracle(E, zc, Q) for E in reps}
+        failures = []
+
+        def walk(order):
+            for E in order:
+                chains = hn_oracle(E, zc, Q)
+                if chains != expected[E] or chains != [hn_filtration(E, zc, Q).chain_dims]:
+                    failures.append(E)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            orders = [reps[k:] + reps[:k] for k in range(0, 60, 10)]
+            workers = [threading.Thread(target=walk, args=(order[::(-1) ** k],))
+                       for k, order in enumerate(orders)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert failures == []
 
 
 class TestJHFiltration:
