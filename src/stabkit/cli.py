@@ -200,6 +200,8 @@ def parse_rep(spec: str, Q: Quiver) -> QuiverRep:
     dims = fields["dims"]
     if not _int_array(dims, 1):
         raise InputError(f"--rep dims must be a list of integers, got {dims!r}")
+    if any(d < 0 for d in dims):
+        raise InputError(f"--rep dims must be nonnegative, got {dims!r}")
     mats = fields.get("f", [])
     if len(Q.arrows) == 1 and mats and not (
         isinstance(mats, list) and isinstance(mats[0], list) and mats[0]

@@ -36,6 +36,7 @@ from .lattice import (
     mat_inv,
     mat_mul,
     mat_vec,
+    rational_list,
     require_keys,
     require_list,
 )
@@ -131,9 +132,7 @@ class GLTildeElement:
             require_keys(data["f0"], ("offset", "dir"), "f0")
             require_list(data["f0"]["dir"], "f0 'dir'", 2)
         require_list(data["M"], "group element 'M'", 2)
-        for row in data["M"]:
-            require_list(row, "group element 'M' row", 2)
-        m = tuple(tuple(Fraction(str(x)) for x in row) for row in data["M"])
+        m = tuple(tuple(rational_list(row, "group element 'M' row", 2)) for row in data["M"])
         return GLTildeElement(m=m, f0=PhaseValue.from_json(data["f0"]))
 
     def to_json_dict(self) -> dict:

@@ -62,6 +62,47 @@ def _lattice(E: QuiverRep, Q: Quiver) -> SubobjectLattice:
     return lat
 
 
+class _Catalog:
+    """The bounded nonzero reps of one (quiver, bound) in enumeration
+    order, with each rep's subobject lattice and the Hom spaces between
+    them, filled on first use.  None of it depends on a charge."""
+
+    def __init__(self, Q: Quiver, max_dims: tuple):
+        self.key = Q, max_dims
+        self.reps = list(enumerate_reps(Q, max_dims))
+        self._lattices = [None] * len(self.reps)
+        self._homs = {}
+
+    def lattice(self, i: int) -> SubobjectLattice:
+        if self._lattices[i] is None:
+            self._lattices[i] = SubobjectLattice(self.reps[i], self.key[0], DEFAULT_TOTAL_DIM)
+        return self._lattices[i]
+
+    def hom(self, i: int, j: int) -> tuple:
+        """hom_space(reps[i], reps[j])."""
+        if (i, j) not in self._homs:
+            self._homs[i, j] = hom_space(self.reps[i], self.reps[j], self.key[0])
+        return self._homs[i, j]
+
+    def judged(self, zc: "HeartCharge"):
+        """(index, lattice, charge values, status, destabilizer) per rep under zc."""
+        for i in range(len(self.reps)):
+            lat = self.lattice(i)
+            values = _charge_values(lat, zc)
+            yield (i, lat, values, *_verdict(lat, values))
+
+
+def _catalog(Q: Quiver, max_dims: Sequence[int]) -> _Catalog:
+    """The catalog of (Q, max_dims), from a one-slot memo per thread matched
+    by equality, so that sweeps called in a row on one box share it."""
+    key = Q, tuple(int(x) for x in max_dims)
+    cat = getattr(_SLOT, "catalog", None)
+    if cat is None or cat.key != key:
+        _SLOT.catalog = None  # the old catalog goes before the new one is built
+        cat = _SLOT.catalog = _Catalog(*key)
+    return cat
+
+
 def _charge_values(lat: SubobjectLattice, zc: HeartCharge) -> list:
     """The integer charge value (x, y) of every lattice entry, so that
     every phase comparison inside the HN machinery is a single integer
@@ -250,12 +291,6 @@ class HNResult:
 
     chain_dims: tuple
     factors: tuple  # ((class, phase), ...)
-
-    def phase_top(self) -> PhaseValue:
-        return self.factors[0][1]
-
-    def phase_bottom(self) -> PhaseValue:
-        return self.factors[-1][1]
 
 
 def _hn_chain(lat: SubobjectLattice, values: list) -> list:
@@ -480,16 +515,11 @@ def _torsion_pair(
     Q: Quiver,
     max_dims: Sequence[int],
 ) -> tuple:
-    """The torsion-pair report and the classes it was decided on:
-    (reps, t_list, in_f), the bounded nonzero reps, those in T, and
-    membership in T-perp."""
-    reps = list(enumerate_reps(Q, max_dims))
-    t_list = [E for E in reps if t_predicate(E)]
-
-    def in_f(X: QuiverRep) -> bool:
-        return X.is_zero() or all(hom_space(T, X, Q)[0] == 0 for T in t_list)
-
-    classes = reps, t_list, in_f
+    """The torsion-pair report, the catalog of the bounded nonzero reps it
+    was decided on and the catalog indices of those in T."""
+    cat = _catalog(Q, max_dims)
+    t_idx = [i for i, E in enumerate(cat.reps) if t_predicate(E)]
+    t_list = [cat.reps[i] for i in t_idx]
     # axiom i is built into the definition of F = T-perp; spot-check the
     # predicate's iso-closure by a unitriangular base change
     for T in t_list[:4]:
@@ -498,25 +528,23 @@ def _torsion_pair(
             report = TorsionPairReport(
                 False, T, "iso-closure", "predicate is not isomorphism closed"
             )
-            return report, classes
+            return report, cat, t_idx
 
-    for E in reps:
-        lat = _lattice(E, Q)
-        found = False
-        for i in range(len(lat.entries)):
-            sub = lat.sub_rep(i)
+    for i, E in enumerate(cat.reps):
+        lat = cat.lattice(i)
+        for k in range(len(lat.entries)):
+            sub = lat.sub_rep(k)
             if not (sub.is_zero() or t_predicate(sub)):
                 continue
-            quo = lat.quotient_rep(i)
-            if in_f(quo):
-                found = True
+            quo = lat.quotient_rep(k)
+            if quo.is_zero() or all(hom_space(T, quo, Q)[0] == 0 for T in t_list):
                 break
-        if not found:
+        else:
             report = TorsionPairReport(
                 False, E, "decomposition", f"no T-sub with T-perp quotient for dims {E.dims}"
             )
-            return report, classes
-    return TorsionPairReport(True), classes
+            return report, cat, t_idx
+    return TorsionPairReport(True), cat, t_idx
 
 
 def _conjugate_rep(E: QuiverRep, Q: Quiver) -> QuiverRep:
@@ -551,16 +579,16 @@ def tilt_heart_check(
     for consistency with the Euler form.  The degenerate identities
     (F = 0 gives back the original heart, T = 0 its shift) are reported.
     """
-    pair, (reps, t_list, in_f) = _torsion_pair(t_predicate, Q, max_dims)
+    pair, cat, t_idx = _torsion_pair(t_predicate, Q, max_dims)
     if not pair.ok:
         return TiltReport(False, failures=((pair.axiom, pair.witness),))
-    f_list = [E for E in reps if in_f(E)]
-    failures = []
-    for T in t_list:
-        for F in f_list:
-            # Hom(T, F) = 0 by the definition of F
-            if -ext1_dim(T, F, Q) != euler_pairing(T.dims, F.dims, Q):
-                failures.append(("euler-consistency", (T.dims, F.dims)))
+    t_list = [cat.reps[i] for i in t_idx]
+    f_list = [F for j, F in enumerate(cat.reps) if all(cat.hom(i, j)[0] == 0 for i in t_idx)]
+    failures = [  # Hom(T, F) = 0 by the definition of F
+        ("euler-consistency", (T.dims, F.dims))
+        for T, F in itertools.product(t_list, f_list)
+        if -ext1_dim(T, F, Q) != euler_pairing(T.dims, F.dims, Q)
+    ]
     degenerate = None
     if not f_list:
         degenerate = "identity"  # F = 0: the tilt is the original heart
@@ -591,8 +619,8 @@ def slicing_distance(
     in first-seen order (which keeps max's choice among equal values).
     """
     extremes = {}  # (top1, bot1, top2, bot2) classes, first-seen order
-    for E in enumerate_reps(Q, max_dims):
-        lat = _lattice(E, Q)
+    cat = _catalog(Q, max_dims)
+    for lat in map(cat.lattice, range(len(cat.reps))):
         extremes[_hn_extremes(lat, zc1) + _hn_extremes(lat, zc2)] = None
     phases1 = _phases(zc1, (c for key in extremes for c in key[:2]))
     phases2 = _phases(zc2, (c for key in extremes for c in key[2:]))
@@ -644,20 +672,13 @@ def stability_norm(
     if len(U) != zc.n:
         raise InputError("linear form length disagrees with the charge")
     best = Fraction(0)
-    seen: set = set()
-    for E in enumerate_reps(Q, max_dims):
-        if E.dims in seen:
-            continue
-        if _lattice_verdict(E, zc, Q)[2] == "unstable":
-            continue
-        seen.add(E.dims)
+    judged = _catalog(Q, max_dims).judged(zc)
+    for dims in {lat.E.dims for _, lat, _, status, _ in judged if status != "unstable"}:
         u = RatComplex(0, 0)
-        for d, uv in zip(E.dims, U):
+        for d, uv in zip(dims, U):
             if d:
                 u = u + uv.scale(d)
-        ratio = u.abs2() / zc.abs2(E.dims)
-        if ratio > best:
-            best = ratio
+        best = max(best, u.abs2() / zc.abs2(dims))
     return NormValue(Quad(best), truncated=True)
 
 
@@ -724,20 +745,21 @@ def deformation_test(
 # exhaustive principle sweeps
 
 
-def _hom_vanishing(semis: list, Q: Quiver) -> tuple[int, list]:
+def _hom_vanishing(cat: _Catalog, semis: list) -> tuple[int, list]:
     """Hom(E, F) = 0 for every pair of semistables with phi(E) > phi(F).
 
-    semis holds (E, integer charge value of E) under one charge, so the
-    phase order is the cross product of the values.  Returns (pairs
-    checked, [(E.dims, F.dims), ...] for the pairs that fail).
+    semis holds (catalog index of E, integer charge value of E) under one
+    charge, so the phase order is the cross product of the values.
+    Returns (pairs checked, [(E.dims, F.dims), ...] for the pairs that
+    fail).
     """
     checked = 0
     failures = []
-    for (E, ve), (F, vf) in itertools.product(semis, semis):
-        if _cross(vf, ve) > 0:  # phi(E) > phi(F)
+    for (i, (ex, ey)), (j, (fx, fy)) in itertools.product(semis, semis):
+        if fx * ey - fy * ex > 0:  # phi(E) > phi(F), as in _cross
             checked += 1
-            if hom_space(E, F, Q)[0] != 0:
-                failures.append((E.dims, F.dims))
+            if cat.hom(i, j)[0] != 0:
+                failures.append((cat.reps[i].dims, cat.reps[j].dims))
     return checked, failures
 
 
@@ -748,12 +770,10 @@ def slicing_hom_vanishing(
 ) -> tuple[int, tuple]:
     """Hom(P(phi1), P(phi2)) = 0 for phi1 > phi2, exhaustively on the
     bounded set; returns (pairs checked, failures)."""
-    semis = []
-    for E in enumerate_reps(Q, max_dims):
-        lat, values, status, _ = _lattice_verdict(E, zc, Q)
-        if status != "unstable":
-            semis.append((E, values[lat.top]))
-    checked, failures = _hom_vanishing(semis, Q)
+    cat = _catalog(Q, max_dims)
+    semis = [(i, vals[lat.top]) for i, lat, vals, status, _ in cat.judged(zc)
+             if status != "unstable"]
+    checked, failures = _hom_vanishing(cat, semis)
     return checked, tuple(failures)
 
 
@@ -778,37 +798,37 @@ def hom_principles_check(
     iv) every unstable object splits against its maximal destabilizer
         with vanishing Hom.
     """
-    reps = []  # (E, status, integer charge value of E)
+    cat = _catalog(Q, max_dims)
+    semis, stables = [], []  # (catalog index, integer charge value)
     unsplit = []  # unstable E that do not split against their maximal destabilizer
-    for E in enumerate_reps(Q, max_dims):
-        lat, values, status, first = _lattice_verdict(E, zc, Q)
-        reps.append((E, status, values[lat.top]))
-        if status == "unstable":
-            # the witness is E's maximal destabilizer entries[first], the
-            # first step of its HN chain: a proper nonzero subobject
-            if hom_space(lat.sub_rep(first), lat.quotient_rep(first), Q)[0] != 0:
-                unsplit.append(E.dims)
-    semis = [(E, val) for E, status, val in reps if status != "unstable"]
-    stables = [(E, val) for E, status, val in reps if status == "stable"]
-    checked, vanishing = _hom_vanishing(semis, Q)
+    for i, lat, values, status, first in cat.judged(zc):
+        if status != "unstable":
+            semis.append((i, values[lat.top]))
+            if status == "stable":
+                stables.append(semis[-1])
+        # the witness is E's maximal destabilizer entries[first], the
+        # first step of its HN chain: a proper nonzero subobject
+        elif hom_space(lat.sub_rep(first), lat.quotient_rep(first), Q)[0] != 0:
+            unsplit.append(lat.E.dims)
+    checked, vanishing = _hom_vanishing(cat, semis)
     failures = [("hom-vanishing", *pair) for pair in vanishing]
     endos = []  # (E, basis of Hom(E, E)) per stable E, in order
-    for (E, ve), (F, vf) in itertools.product(stables, stables):
+    for (i, ve), (j, vf) in itertools.product(stables, stables):
         if _cross(ve, vf) != 0:
             continue  # towards higher phase unconstrained, towards lower by i)
-        hdim, basis = hom_space(E, F, Q)
-        if E is F:
-            endos.append((E, basis))
+        hdim, basis = cat.hom(i, j)
+        if i == j:
+            endos.append((cat.reps[i], basis))
         if hdim == 0:
             continue
         checked += 1
         if not _span_contains_iso(basis, Q):
-            failures.append(("stable-hom-not-iso", E.dims, F.dims))
+            failures.append(("stable-hom-not-iso", cat.reps[i].dims, cat.reps[j].dims))
     for E, basis in endos:
         checked += 1
         if not _all_nonzero_invertible(basis, Q):
             failures.append(("endo-not-division", E.dims, None))
-    checked += sum(1 for _, status, _ in reps if status == "unstable")
+    checked += len(cat.reps) - len(semis)
     failures.extend(("unstable-decomposition", dims, None) for dims in unsplit)
     return PrinciplesReport(not failures, checked, tuple(failures))
 
@@ -854,9 +874,9 @@ def local_finiteness_probe(
     if eta <= 0:
         raise InputError("eta must be positive")
     groups = {}  # (top, bottom) HN factor classes -> [object count, max total dim]
-    for E in enumerate_reps(Q, max_dims):
-        lat = _lattice(E, Q)
-        group = groups.setdefault(_hn_extremes(lat, zc), [0, 0])
+    cat = _catalog(Q, max_dims)
+    for i, E in enumerate(cat.reps):
+        group = groups.setdefault(_hn_extremes(cat.lattice(i), zc), [0, 0])
         group[0] += 1
         group[1] = max(group[1], E.total_dim())
     phase = _phases(zc, (c for key in groups for c in key))

@@ -41,6 +41,17 @@ def require_list(data, what: str, length: Optional[int]) -> None:
         raise InputError(f"{what} must be {shape}, got {data!r}")
 
 
+def rational_list(data, what: str, length: Optional[int]) -> list:
+    """The JSON list data, of `length` values unless that is None, as exact
+    rationals; raises InputError naming `what` unless every entry is a
+    number or a rational string."""
+    require_list(data, what, length)
+    try:
+        return [Fraction(str(x)) for x in data]
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"{what} must hold numbers or rational strings, got {data!r}") from None
+
+
 def _halve(x):
     """Exact x/2 for int, Fraction or any exact field element."""
     if isinstance(x, int):
@@ -337,22 +348,15 @@ class NSLattice:
     @staticmethod
     def from_json_dict(data: dict) -> "NSLattice":
         require_keys(data, ("gram", "ample_ref"), "lattice file")
-        gram = data["gram"]
-        require_list(gram, "lattice file 'gram'", None)
-        for row in gram:
-            require_list(row, "lattice file 'gram' row", None)
-        require_list(data["ample_ref"], "lattice file 'ample_ref'", None)
+        require_list(data["gram"], "lattice file 'gram'", None)
+        gram = [rational_list(row, "lattice file 'gram' row", None) for row in data["gram"]]
+        ample_ref = rational_list(data["ample_ref"], "lattice file 'ample_ref'", None)
         curves = data.get("neg2_curves", [])
         require_list(curves, "lattice file 'neg2_curves'", None)
-        for curve in curves:
-            require_list(curve, "lattice file 'neg2_curves' entry", None)
+        curves = [rational_list(c, "lattice file 'neg2_curves' entry", None) for c in curves]
         if "rank" in data and len(gram) != data["rank"]:
             raise InputError("rank disagrees with gram size")
-        return NSLattice(
-            gram,
-            [Fraction(str(x)) for x in data["ample_ref"]],
-            curves,
-        )
+        return NSLattice(gram, ample_ref, curves)
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,11 @@ import graphlib
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import InvariantError, RatComplex
-from .lattice import InputError, require_keys, require_list
+from .lattice import InputError, rational_list, require_keys, require_list
 
 
 class ResourceBound(RuntimeError):
@@ -728,13 +727,7 @@ def load_quiver_config(path) -> tuple[Quiver, "object"]:
     Q = Quiver.from_json_dict(data)
     charge = data.get("charge")
     if charge is None:
-        zc = None
-    else:
-        require_list(charge, "quiver config 'charge'", None)
-        for z in charge:
-            require_list(z, "quiver config 'charge' entry", 2)
-        zs = [
-            RatComplex(Fraction(str(re)), Fraction(str(im))) for re, im in charge
-        ]
-        zc = HeartCharge(zs)
-    return Q, zc
+        return Q, None
+    require_list(charge, "quiver config 'charge'", None)
+    entries = (rational_list(z, "quiver config 'charge' entry", 2) for z in charge)
+    return Q, HeartCharge(RatComplex(re, im) for re, im in entries)

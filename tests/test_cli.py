@@ -360,9 +360,20 @@ class TestMalformedInput:
             ({"gram": [[2]], "ample_ref": [1], "neg2_curves": 3},
              ["k3", "guard", "--B", "0", "--omega", "t*h", "--t", "2", "--lattice"],
              "lattice file 'neg2_curves' must be a list, got 3"),
+            ({"gram": [[[2]]], "ample_ref": [1]},
+             ["k3", "guard", "--B", "0", "--omega", "t*h", "--t", "2", "--lattice"],
+             "lattice file 'gram' row must hold numbers or rational strings, got [[2]]"),
+            ({"gram": [["a"]], "ample_ref": [1]},
+             ["k3", "guard", "--B", "0", "--omega", "t*h", "--t", "2", "--lattice"],
+             "lattice file 'gram' row must hold numbers or rational strings, got ['a']"),
+            ({"vertices": 2, "arrows": [[0, 1]], "p": 2, "charge": [["a", "1"], ["1", "1"]]},
+             ["quiver", "check", "--suite", "gp", "--config"],
+             "quiver config 'charge' entry must hold numbers or rational strings, "
+             "got ['a', '1']"),
         ],
         ids=["quiver-key", "quiver-list", "lattice-key", "group-key", "f0-key",
-             "charge-entry", "charge", "arrow", "vertices", "gram-row", "curves"],
+             "charge-entry", "charge", "arrow", "vertices", "gram-row", "curves",
+             "gram-nested", "gram-entry", "charge-value"],
     )
     def test_config_files(self, tmp_path, capsys, data, argv, message):
         path = tmp_path / "config.json"
@@ -382,8 +393,10 @@ class TestMalformedInput:
              "group element 'M' row must be a list of 2 values, got 5"),
             ('{"M": [["1", "0"], ["0", "1"]], "f0": {"dir": 5, "offset": "0"}}',
              "f0 'dir' must be a list of 2 values, got 5"),
+            ('{"M": [["a", "0"], ["0", "1"]], "f0": "0"}',
+             "group element 'M' row must hold numbers or rational strings, got ['a', '0']"),
         ],
-        ids=["matrix", "row", "f0-dir"],
+        ids=["matrix", "row", "f0-dir", "entry"],
     )
     def test_inline_group_element_shape(self, capsys, element, message):
         assert main(["group", "compose", "--g", element, "--h", "{}"]) == 2
@@ -404,13 +417,23 @@ class TestMalformedInput:
              "--rep dims must be a list of integers, got [1, 'a']"),
             (["hn", "--rep", "dims=[1,1];f=5"],
              "--rep f must be a list of integer matrices, got 5"),
+            (["hn", "--rep", "dims=[-1,1];f=[[]]"], "--rep dims must be nonnegative, got [-1, 1]"),
         ],
         ids=["perturb-no-comma", "perturb-vertex", "bound", "rep", "rep-dims",
-             "rep-dims-entry", "rep-f"],
+             "rep-dims-entry", "rep-f", "rep-dims-negative"],
     )
     def test_option_values(self, capsys, argv, message):
         assert main(["quiver", argv[0], "--config", A2_CONFIG, *argv[1:]]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_negative_dimension_without_arrows(self, tmp_path, capsys):
+        # no matrix shape can catch it on a quiver without arrows
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"vertices": 2, "arrows": [], "p": 2, "charge": [["-1", "1"], ["1", "1"]]}
+        ))
+        assert main(["quiver", "jh", "--config", str(path), "--rep", "dims=[-1,2]"]) == 2
+        assert capsys.readouterr().err == "error: --rep dims must be nonnegative, got [-1, 2]\n"
 
 
 class TestCurveCommands:

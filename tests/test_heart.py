@@ -374,6 +374,168 @@ class TestLatticeSlot:
         assert failures == []
 
 
+class TestRepCatalog:
+    """The sweeps share one catalog of reps, lattices and Hom spaces per
+    (quiver, bound), kept in a one-slot memo per thread and matched by
+    equality."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The reps heart built a lattice for, the pairs it computed a Hom
+        space for and its enumerations, starting from an empty slot."""
+        calls = {"lattice": [], "hom": [], "enumerate": []}
+        build, hom, reps = heart.SubobjectLattice, heart.hom_space, heart.enumerate_reps
+
+        def counting_build(E, Q, total_bound):
+            calls["lattice"].append(E)
+            return build(E, Q, total_bound)
+
+        def counting_hom(E, F, Q):
+            calls["hom"].append((E, F))
+            return hom(E, F, Q)
+
+        def counting_reps(Q, max_dims):
+            calls["enumerate"].append((Q, tuple(max_dims)))
+            return reps(Q, max_dims)
+
+        monkeypatch.setattr(heart, "SubobjectLattice", counting_build)
+        monkeypatch.setattr(heart, "hom_space", counting_hom)
+        monkeypatch.setattr(heart, "enumerate_reps", counting_reps)
+        monkeypatch.setattr(heart, "_SLOT", threading.local())
+        return calls
+
+    @pytest.fixture
+    def kronecker(self):
+        return load_quiver_config(CONFIGS / "kronecker.json")
+
+    def test_gp_slicing_distance_build_each_lattice_once(self, kronecker, calls):
+        Q, zc = kronecker
+        assert hom_principles_check(zc, Q, (2, 2)).ok
+        assert slicing_hom_vanishing(zc, Q, (2, 2))[1] == ()
+        slicing_distance(zc, _charge((1, 1), (-1, 2)), Q, (2, 2))
+        reps = list(enumerate_reps(Q, (2, 2)))
+        assert calls["lattice"] == reps
+        assert len({id(E) for E in calls["lattice"]}) == len(reps)
+
+    def test_slicing_after_gp_computes_no_hom(self, kronecker, calls):
+        Q, zc = kronecker
+        assert hom_principles_check(zc, Q, (2, 2)).ok
+        done = len(calls["hom"])
+        checked, failures = slicing_hom_vanishing(zc, Q, (2, 2))
+        assert checked > 0 and failures == ()
+        assert len(calls["hom"]) == done > 0
+
+    def test_a_second_charge_builds_nothing(self, kronecker, calls):
+        Q, zc = kronecker
+        assert hom_principles_check(zc, Q, (2, 2)).ok
+        built = len(calls["lattice"])
+        z2 = _charge((1, 1), (-1, 2))
+        assert hom_principles_check(z2, Q, (2, 2)).ok
+        assert slicing_hom_vanishing(z2, Q, (2, 2))[1] == ()
+        slicing_distance(z2, zc, Q, (2, 2))
+        assert len(calls["lattice"]) == built > 0
+        assert calls["enumerate"] == [(Q, (2, 2))]
+
+    def test_the_slot_is_matched_by_equality(self, a2, z_std, calls):
+        twin = Quiver(a2.n, a2.arrows, a2.p)
+        assert twin == a2 and twin is not a2
+        slicing_hom_vanishing(z_std, a2, (2, 2))
+        slicing_hom_vanishing(z_std, twin, [2, 2])
+        assert calls["enumerate"] == [(a2, (2, 2))]
+        slicing_hom_vanishing(z_std, a2, (2, 1))
+        a2_f3 = Quiver(a2.n, a2.arrows, 3)
+        slicing_hom_vanishing(z_std, a2_f3, (2, 1))
+        slicing_hom_vanishing(z_std, a2, (2, 2))  # one slot: (2, 2) was replaced
+        assert calls["enumerate"] == [
+            (a2, (2, 2)), (a2, (2, 1)), (a2_f3, (2, 1)), (a2, (2, 2))
+        ]
+
+    def test_each_thread_has_its_own_catalog(self, a2, z_std, calls):
+        first = hom_principles_check(z_std, a2, (2, 2))
+        built = len(calls["lattice"])
+        out = []
+        worker = threading.Thread(
+            target=lambda: out.append(hom_principles_check(z_std, a2, (2, 2)))
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert out == [first]
+        assert len(calls["lattice"]) == 2 * built > 0
+        assert len(calls["enumerate"]) == 2
+        slicing_hom_vanishing(z_std, a2, (2, 2))  # this thread's slot still holds it
+        assert len(calls["lattice"]) == 2 * built
+        assert len(calls["enumerate"]) == 2
+
+    def test_threads_agree_with_one_thread(self, a2, z_std, z_swapped):
+        # more threads than cores, switching often, each sweeping the boxes
+        # in its own order, so that the slots switch boxes under each other
+        boxes = [(2, 1), (1, 2), (2, 2), (1, 1)]
+
+        def sweep(box):
+            return [repr(f(zc, a2, box)) for zc in (z_std, z_swapped)
+                    for f in (hom_principles_check, slicing_hom_vanishing)]
+
+        expected = {box: sweep(box) for box in boxes}
+        failures = []
+
+        def walk(order):
+            for box in order * 3:
+                if sweep(box) != expected[box]:
+                    failures.append(box)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=walk, args=(boxes[k:] + boxes[:k],))
+                       for k in range(len(boxes))]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert failures == []
+
+    @pytest.mark.parametrize("config", ["a2.json", "kronecker.json"])
+    def test_outputs_match_a_cleared_slot(self, config, calls):
+        Q, zc = load_quiver_config(CONFIGS / config)
+        z2 = _charge((1, 1), (-1, 2))
+        nudged = HeartCharge([z + RatComplex(0, F(1, 8)) for z in zc.z])
+
+        def sink(E):
+            return E.dims[0] == 0
+
+        def sweeps(bound):
+            return [
+                lambda: hom_principles_check(zc, Q, bound),
+                lambda: slicing_hom_vanishing(zc, Q, bound),
+                lambda: slicing_distance(zc, z2, Q, bound),
+                lambda: hom_principles_check(z2, Q, bound),
+                lambda: slicing_hom_vanishing(z2, Q, bound),
+                lambda: stability_norm(list(z2.z), zc, Q, bound),
+                lambda: deformation_test(zc, nudged, F(1, 4), Q, bound),
+                lambda: local_finiteness_probe(zc, Q, F(1, 8), bound),
+                lambda: torsion_pair_verify(sink, Q, bound),
+                lambda: tilt_heart_check(sink, Q, bound),
+            ]
+
+        def outputs(clear):
+            out = []
+            for bound in ((2, 1), (2, 2), (2, 1)):
+                for sweep in sweeps(bound):
+                    if clear:
+                        heart._SLOT.catalog = heart._SLOT.last = None
+                    out.append(repr(sweep()))
+            return out
+
+        warm = outputs(clear=False)
+        shared = len(calls["lattice"])
+        assert outputs(clear=True) == warm
+        assert len(calls["lattice"]) - shared > 5 * shared
+
+
 class TestJHFiltration:
     def test_stable_is_its_own_factor(self, a2, z_std, P):
         assert jh_filtration(P, z_std, a2) == [(1, 1)]
@@ -424,10 +586,10 @@ class TestTorsionCut:
             cut = torsion_cut(E, phi0, z_swapped, a2)
             if not cut.sub.is_zero():
                 hn = hn_filtration(cut.sub, z_swapped, a2)
-                assert (hn.phase_bottom() - phi0).sign() > 0
+                assert (hn.factors[-1][1] - phi0).sign() > 0
             if not cut.quotient.is_zero():
                 hn = hn_filtration(cut.quotient, z_swapped, a2)
-                assert (hn.phase_top() - phi0).sign() <= 0
+                assert (hn.factors[0][1] - phi0).sign() <= 0
 
 
 class TestTorsionPairs:
@@ -486,8 +648,8 @@ class TestTilt:
         assert rep.ok and rep.degenerate is None
 
     def test_builds_the_torsion_pair_once(self, a2, monkeypatch):
-        # the tilt enumerates and classifies exactly as often as verifying
-        # the torsion pair alone does
+        # from an empty catalog slot, the tilt enumerates and classifies
+        # exactly as often as verifying the torsion pair alone does
         counts = {"reps": 0, "predicate": 0}
         enumerate_reps = heart.enumerate_reps
 
@@ -500,9 +662,11 @@ class TestTilt:
             return E.dims[0] == 0
 
         monkeypatch.setattr(heart, "enumerate_reps", counting_reps)
+        monkeypatch.setattr(heart, "_SLOT", threading.local())
         assert torsion_pair_verify(predicate, a2, (2, 2)).ok
         alone = dict(counts)
         counts.update(reps=0, predicate=0)
+        heart._SLOT.catalog = None
         assert tilt_heart_check(predicate, a2, (2, 2)).ok
         assert alone["reps"] == 1
         assert counts == alone
@@ -514,8 +678,8 @@ def _reference_slicing_distance(zc1, zc2, Q, max_dims):
     sup = inf_formula = None
     for E in enumerate_reps(Q, max_dims):
         hn1, hn2 = hn_filtration(E, zc1, Q), hn_filtration(E, zc2, Q)
-        top1, bot1 = hn1.phase_top(), hn1.phase_bottom()
-        top2, bot2 = hn2.phase_top(), hn2.phase_bottom()
+        top1, bot1 = hn1.factors[0][1], hn1.factors[-1][1]
+        top2, bot2 = hn2.factors[0][1], hn2.factors[-1][1]
         local = max(abs(top1 - top2), abs(bot1 - bot2))
         sup = local if sup is None else max(sup, local)
         if len(hn2.factors) == 1:
@@ -711,6 +875,7 @@ class TestPrinciples:
 
         monkeypatch.setattr(heart, "hom_space", recording_hom_space)
         monkeypatch.setattr(heart, "_hn_chain", no_hn_chain)
+        monkeypatch.setattr(heart, "_SLOT", threading.local())
         rep = hom_principles_check(zc, Q, (2, 2))
         assert rep.ok
         assert len({id(E) for E in endo_calls}) == len(endo_calls) > 0
