@@ -64,32 +64,34 @@ def _lattice(E: QuiverRep, Q: Quiver) -> SubobjectLattice:
 
 class _Catalog:
     """The bounded nonzero reps of one (quiver, bound) in enumeration
-    order, with each rep's subobject lattice and the Hom spaces between
-    them, filled on first use.  None of it depends on a charge."""
+    order, with each rep's subobject lattice and the vanishing Homs
+    between them, filled on first use.  None of it depends on a charge."""
 
     def __init__(self, Q: Quiver, max_dims: tuple):
         self.key = Q, max_dims
         self.reps = list(enumerate_reps(Q, max_dims))
         self._lattices = [None] * len(self.reps)
-        self._homs = {}
+        self._zero = [0] * len(self.reps)  # bit j of _zero[i]: Hom(reps[i], reps[j]) = 0
 
     def lattice(self, i: int) -> SubobjectLattice:
         if self._lattices[i] is None:
             self._lattices[i] = SubobjectLattice(self.reps[i], self.key[0], DEFAULT_TOTAL_DIM)
         return self._lattices[i]
 
-    def hom(self, i: int, j: int) -> tuple:
-        """hom_space(reps[i], reps[j])."""
-        if (i, j) not in self._homs:
-            self._homs[i, j] = hom_space(self.reps[i], self.reps[j], self.key[0])
-        return self._homs[i, j]
+    def hom_vanishes(self, i: int, j: int) -> bool:
+        """Whether Hom(reps[i], reps[j]) = 0.  Only vanishing ones are kept,
+        one bit each: the sweeps ask for quadratically many pairs, nearly
+        all 0, while a box can hold a thousand isomorphic stables."""
+        if not self._zero[i] >> j & 1:
+            if hom_space(self.reps[i], self.reps[j], self.key[0])[0]:
+                return False
+            self._zero[i] |= 1 << j
+        return True
 
-    def judged(self, zc: "HeartCharge"):
+    def judged(self, zc: HeartCharge):
         """(index, lattice, charge values, status, destabilizer) per rep under zc."""
         for i in range(len(self.reps)):
-            lat = self.lattice(i)
-            values = _charge_values(lat, zc)
-            yield (i, lat, values, *_verdict(lat, values))
+            yield (i, *_verdict(self.lattice(i), zc))
 
 
 def _catalog(Q: Quiver, max_dims: Sequence[int]) -> _Catalog:
@@ -250,17 +252,18 @@ def _max_destabilizer(lat: SubobjectLattice, values: list, current: int) -> int:
     return best
 
 
-def _verdict(lat: SubobjectLattice, values: list) -> tuple:
-    """The status of lat.E against every proper nonzero subobject
-    ('stable', 'semistable' or 'unstable'), and the entry index of E's
-    maximal destabilizer, the witness of instability."""
+def _verdict(lat: SubobjectLattice, zc: HeartCharge) -> tuple:
+    """lat, its charge values, the status of lat.E against every proper
+    nonzero subobject ('stable', 'semistable' or 'unstable'), and the
+    entry index of E's maximal destabilizer, the witness of instability."""
+    values = _charge_values(lat, zc)
     top_val = values[lat.top]
     first = _max_destabilizer(lat, values, lat.bottom)
     if _cross(top_val, values[first]) > 0:  # phi(E) < phi(first)
-        return "unstable", first
+        return lat, values, "unstable", first
     proper = (v for i, v in enumerate(values) if i not in (lat.bottom, lat.top))
     stable = all(_cross(top_val, v) != 0 for v in proper)
-    return "stable" if stable else "semistable", first
+    return lat, values, "stable" if stable else "semistable", first
 
 
 def _lattice_verdict(E: QuiverRep, zc: HeartCharge, Q: Quiver):
@@ -268,9 +271,7 @@ def _lattice_verdict(E: QuiverRep, zc: HeartCharge, Q: Quiver):
     entry index of E's maximal destabilizer."""
     if E.is_zero():
         raise InputError("the zero representation has no stability verdict")
-    lat = _lattice(E, Q)
-    values = _charge_values(lat, zc)
-    return (lat, values, *_verdict(lat, values))
+    return _verdict(_lattice(E, Q), zc)
 
 
 def is_semistable(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> SemistabilityVerdict:
@@ -583,7 +584,7 @@ def tilt_heart_check(
     if not pair.ok:
         return TiltReport(False, failures=((pair.axiom, pair.witness),))
     t_list = [cat.reps[i] for i in t_idx]
-    f_list = [F for j, F in enumerate(cat.reps) if all(cat.hom(i, j)[0] == 0 for i in t_idx)]
+    f_list = [F for j, F in enumerate(cat.reps) if all(cat.hom_vanishes(i, j) for i in t_idx)]
     failures = [  # Hom(T, F) = 0 by the definition of F
         ("euler-consistency", (T.dims, F.dims))
         for T, F in itertools.product(t_list, f_list)
@@ -674,10 +675,7 @@ def stability_norm(
     best = Fraction(0)
     judged = _catalog(Q, max_dims).judged(zc)
     for dims in {lat.E.dims for _, lat, _, status, _ in judged if status != "unstable"}:
-        u = RatComplex(0, 0)
-        for d, uv in zip(dims, U):
-            if d:
-                u = u + uv.scale(d)
+        u = sum((uv.scale(d) for d, uv in zip(dims, U) if d), RatComplex(0, 0))
         best = max(best, u.abs2() / zc.abs2(dims))
     return NormValue(Quad(best), truncated=True)
 
@@ -748,17 +746,16 @@ def deformation_test(
 def _hom_vanishing(cat: _Catalog, semis: list) -> tuple[int, list]:
     """Hom(E, F) = 0 for every pair of semistables with phi(E) > phi(F).
 
-    semis holds (catalog index of E, integer charge value of E) under one
-    charge, so the phase order is the cross product of the values.
-    Returns (pairs checked, [(E.dims, F.dims), ...] for the pairs that
-    fail).
+    semis holds (catalog index, integer charge value) per semistable under
+    one charge, so the phase order is the cross product of the values.
+    Returns (pairs checked, [(E.dims, F.dims) of each failing pair]).
     """
     checked = 0
     failures = []
     for (i, (ex, ey)), (j, (fx, fy)) in itertools.product(semis, semis):
         if fx * ey - fy * ex > 0:  # phi(E) > phi(F), as in _cross
             checked += 1
-            if cat.hom(i, j)[0] != 0:
+            if not cat.hom_vanishes(i, j):
                 failures.append((cat.reps[i].dims, cat.reps[j].dims))
     return checked, failures
 
@@ -799,13 +796,14 @@ def hom_principles_check(
         with vanishing Hom.
     """
     cat = _catalog(Q, max_dims)
-    semis, stables = [], []  # (catalog index, integer charge value)
+    semis = []  # (catalog index, integer charge value) of the semistables
+    stables = []  # (E, integer charge value) of the stables
     unsplit = []  # unstable E that do not split against their maximal destabilizer
     for i, lat, values, status, first in cat.judged(zc):
         if status != "unstable":
             semis.append((i, values[lat.top]))
             if status == "stable":
-                stables.append(semis[-1])
+                stables.append((lat.E, values[lat.top]))
         # the witness is E's maximal destabilizer entries[first], the
         # first step of its HN chain: a proper nonzero subobject
         elif hom_space(lat.sub_rep(first), lat.quotient_rep(first), Q)[0] != 0:
@@ -813,17 +811,17 @@ def hom_principles_check(
     checked, vanishing = _hom_vanishing(cat, semis)
     failures = [("hom-vanishing", *pair) for pair in vanishing]
     endos = []  # (E, basis of Hom(E, E)) per stable E, in order
-    for (i, ve), (j, vf) in itertools.product(stables, stables):
+    for (E, ve), (F, vf) in itertools.product(stables, stables):
         if _cross(ve, vf) != 0:
             continue  # towards higher phase unconstrained, towards lower by i)
-        hdim, basis = cat.hom(i, j)
-        if i == j:
-            endos.append((cat.reps[i], basis))
+        hdim, basis = hom_space(E, F, Q)
+        if E is F:
+            endos.append((E, basis))
         if hdim == 0:
             continue
         checked += 1
         if not _span_contains_iso(basis, Q):
-            failures.append(("stable-hom-not-iso", cat.reps[i].dims, cat.reps[j].dims))
+            failures.append(("stable-hom-not-iso", E.dims, F.dims))
     for E, basis in endos:
         checked += 1
         if not _all_nonzero_invertible(basis, Q):
