@@ -255,9 +255,12 @@ def parse_iso(spec: str, lat: NSLattice):
 
 def parse_bound_pair(text: str) -> tuple:
     try:
-        return tuple(int(x) for x in text.split(","))
+        bound = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise InputError(f"--bound expects n,n,..., got {text!r}")
+    if min(bound) < 0:
+        raise InputError(f"--bound entries must be nonnegative, got {text!r}")
+    return bound
 
 
 def _write(path, content: str):

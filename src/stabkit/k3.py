@@ -30,7 +30,6 @@ from .lattice import (
     InvariantError,
     MukaiVector,
     NSLattice,
-    basis_vectors,
     enumerate_delta,
     exp_class,
     mukai_pairing,
@@ -435,16 +434,15 @@ class _Poly2:
         sign = 1 if den > 0 else -1
         return Quad(Fraction(-self.c1, den), Fraction(sign * (2 * i - 1), den), disc)
 
-    def _surd_roots_below(self, x: Fraction) -> int:
-        """How many of the two irrational roots lie below the rational x.
-        With the sign of c2 divided out, P is negative exactly between
-        the roots and positive elsewhere (it never vanishes at x), and
+    def _roots_below(self, x: Fraction, v: int) -> int:
+        """How many of the two roots lie below the rational x, given
+        v = q^2 P(x) != 0 and c2 != 0.  With the sign of c2 divided out, P
+        is negative exactly between the roots and positive elsewhere, and
         outside them the vertex -c1 / (2 c2) tells the two sides apart."""
-        p, q = x.numerator, x.denominator
         lead = 1 if self.c2 > 0 else -1
-        if lead * (self.c0 * q * q + self.c1 * p * q + self.c2 * p * p) < 0:
+        if lead * v < 0:
             return 1
-        return 0 if lead * (2 * self.c2 * p + self.c1 * q) < 0 else 2
+        return 0 if lead * (2 * self.c2 * x.numerator + self.c1 * x.denominator) < 0 else 2
 
     def roots(self) -> list:
         """Exact real roots in increasing order, as Fractions or Quads."""
@@ -454,39 +452,66 @@ class _Poly2:
         return rational
 
     def roots_in(self, t0: Fraction, t1: Fraction) -> list:
-        """The roots in [t0, t1], increasing.  Irrational roots are placed
-        against t0 and t1 by integer signs, and only those inside become
-        Quads."""
+        """The roots in [t0, t1], increasing.  Integer signs at t0 and t1
+        and the side of the vertex place the roots before any is solved:
+        with one strict sign at both ends and as many roots below each, or
+        a line, none lies inside.  Only irrational roots inside become Quads."""
+        c0, c1, c2 = self.c0, self.c1, self.c2
+        p, q = t0.numerator, t0.denominator
+        v0 = c0 * q * q + c1 * p * q + c2 * p * p  # q^2 P(t0): the sign of P(t0)
+        p, q = t1.numerator, t1.denominator
+        v1 = c0 * q * q + c1 * p * q + c2 * p * p
+        if v0 * v1 > 0:
+            if c2 == 0 or self._roots_below(t0, v0) == self._roots_below(t1, v1):
+                return []
         rational, disc = self._solve()
         if disc:
-            lo, hi = self._surd_roots_below(t0), self._surd_roots_below(t1)
+            lo, hi = self._roots_below(t0, v0), self._roots_below(t1, v1)
             return [self._surd_root(i, disc) for i in range(lo, hi)]
         return [t for t in rational if t0 <= t <= t1]
 
-
-def _quadratic_coeffs(f0, f1, f_1) -> tuple:
-    """(c0, c1, c2) with c0 + c1 t + c2 t^2 equal to f0, f1, f_1 at t = 0, 1, -1."""
-    half = Fraction(1, 2)
-    return f0, (f1 - f_1).scale(half), (f1 + f_1).scale(half) - f0
+    def sign_at_root_of(self, im: "_Poly2", t: TParam) -> int:
+        """The sign of P at a root t of im.  At an irrational root
+        t = (-c1 + e sqrt(disc)) / (2 c2) of im, reducing P modulo im
+        gives c2 P = alpha + beta t, so 2 c2^2 P(t) = A + e beta sqrt(disc)
+        with integers A and beta, signed without building a Quad."""
+        if not isinstance(t, Quad):
+            p, q = t.numerator, t.denominator
+            v = self.c0 * q * q + self.c1 * p * q + self.c2 * p * p
+            return (v > 0) - (v < 0)
+        c0, c1, c2 = im.c0, im.c1, im.c2
+        alpha, beta = c2 * self.c0 - self.c2 * c0, c2 * self.c1 - self.c2 * c1
+        a, b = 2 * c2 * alpha - beta * c1, beta if (t.b > 0) == (c2 > 0) else -beta
+        if (a >= 0 and b >= 0) or (a <= 0 and b <= 0):
+            return (a > 0 or b > 0) - (a < 0 or b < 0)
+        # opposite signs: a^2 = b^2 disc would make sqrt(disc) rational
+        return 1 if (a * a > b * b * (c1 * c1 - 4 * c2 * c0)) == (a > 0) else -1
 
 
 def _integer_forms(lat: NSLattice, B_path: AffinePath, omega_path: AffinePath) -> tuple:
     """Integer linear forms (F0, F1, F2, G0, G1, G2) on the coordinates
     (r, l, s) with D Z_t(d) = (F0 + F1 t + F2 t^2)(d) + i (G0 + G1 t + G2 t^2)(d)
-    for one positive integer D.
+    for one positive integer D, which moves no root and no sign.
 
-    Omega_t = exp(B_t + i omega_t) is quadratic in t, so Z_t(d) = <Omega_t, d>
-    is too, with coefficients <c_k, d>.  Each <c_k, .> is read off the unit
-    vectors, and D clears all their denominators at once: it scales Re Z_t
-    and Im Z_t alike, so no root and no sign changes."""
-    om0, om1, om_1 = (exp_class(B_path.at(t), omega_path.at(t), lat) for t in (0, 1, -1))
-    coeffs = _quadratic_coeffs(om0.re, om1.re, om_1.re) + _quadratic_coeffs(
-        om0.im, om1.im, om_1.im
+    Z_t(d) = beta_t.l - s - r beta_t^2 / 2 with beta_t = B_t + i omega_t.  For n
+    the lcm of the path's denominators, n beta_t = (b0 + i w0) + t (b1 + i w1) is
+    integral, and D = n^2 clears the rest (squares are even in the even Gram)."""
+    paths = (B_path.const, omega_path.const, B_path.lin, omega_path.lin)
+    n = math.lcm(*(x.denominator for v in paths for x in v))
+    b0, w0, b1, w1 = ([int(x * n) for x in v] for v in paths)
+    dot, zero = lat.ns_dot, (0,) * lat.rank
+
+    def form(r, u, s=0):
+        return (r, *(n * sum(map(mul, row, u)) for row in lat.gram), s)
+
+    return (
+        form((dot(w0, w0) - dot(b0, b0)) // 2, b0, -n * n),
+        form(dot(w0, w1) - dot(b0, b1), b1),
+        form((dot(w1, w1) - dot(b1, b1)) // 2, zero),
+        form(-dot(b0, w0), w0),
+        form(-dot(b0, w1) - dot(w0, b1), w1),
+        form(-dot(b1, w1), zero),
     )
-    units = basis_vectors(lat)
-    forms = [[as_fraction(mukai_pairing(c, e, lat)) for e in units] for c in coeffs]
-    den = math.lcm(*(x.denominator for form in forms for x in form))
-    return tuple(tuple(int(x * den) for x in form) for form in forms)
 
 
 def _check_scan(lat: NSLattice, B_path: AffinePath, omega_path: AffinePath, t0, t1) -> tuple:
@@ -546,22 +571,24 @@ def _scan(
     degenerate = []
 
     re0, re1, re2, im0, im1, im2 = _integer_forms(lat, B_path, omega_path)
+    # Im Z_t has no s term, and its t^2 term is a multiple of r
+    (h0, *g0), (h1, *g1), h2 = im0[:-1], im1[:-1], im2[0]
     for d in deltas:
-        if d.r <= 0:
+        r = d.r
+        if r <= 0:
+            continue
+        im = _Poly2(h0 * r + sum(map(mul, g0, d.l)), h1 * r + sum(map(mul, g1, d.l)), h2 * r)
+        ts = im.roots_in(t0, t1)
+        if not ts and not im.is_zero():
             continue
         x = d.coords()
-        im_poly = _Poly2(sum(map(mul, im0, x)), sum(map(mul, im1, x)), sum(map(mul, im2, x)))
-        re_poly = _Poly2(sum(map(mul, re0, x)), sum(map(mul, re1, x)), sum(map(mul, re2, x)))
-        if im_poly.is_zero():
-            if re_poly.is_zero():
-                degenerate.append(d)
-                continue
-            for t in re_poly.roots_in(t0, t1):
-                walls.append(Wall(t, d, "A"))
+        re = _Poly2(sum(map(mul, re0, x)), sum(map(mul, re1, x)), sum(map(mul, re2, x)))
+        if ts:
+            walls.extend(Wall(t, d, "A") for t in ts if re.sign_at_root_of(im, t) <= 0)
+        elif re.is_zero():
+            degenerate.append(d)
         else:
-            for t in im_poly.roots_in(t0, t1):
-                if re_poly(t) <= 0:
-                    walls.append(Wall(t, d, "A"))
+            walls.extend(Wall(t, d, "A") for t in re.roots_in(t0, t1))
 
     b0, b1 = B_path.const, B_path.lin
     w0, w1 = omega_path.const, omega_path.lin

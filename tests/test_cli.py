@@ -411,6 +411,10 @@ class TestMalformedInput:
              "--perturb expects i:re,im;..., got 'x:1,0'"),
             (["check", "--suite", "gp", "--bound", "2,x"],
              "--bound expects n,n,..., got '2,x'"),
+            (["check", "--suite", "gp", "--bound", "2,-1"],
+             "--bound entries must be nonnegative, got '2,-1'"),
+            (["tilt", "--torsion", "d0=0", "--bound", "0,-3"],
+             "--bound entries must be nonnegative, got '0,-3'"),
             (["hn", "--rep", "dims"], "--rep expects dims=[...];f=[...], got 'dims'"),
             (["hn", "--rep", "dims=5"], "--rep dims must be a list of integers, got 5"),
             (["hn", "--rep", "dims=[1,'a']"],
@@ -419,7 +423,8 @@ class TestMalformedInput:
              "--rep f must be a list of integer matrices, got 5"),
             (["hn", "--rep", "dims=[-1,1];f=[[]]"], "--rep dims must be nonnegative, got [-1, 1]"),
         ],
-        ids=["perturb-no-comma", "perturb-vertex", "bound", "rep", "rep-dims",
+        ids=["perturb-no-comma", "perturb-vertex", "bound", "bound-negative-check",
+             "bound-negative-tilt", "rep", "rep-dims",
              "rep-dims-entry", "rep-f", "rep-dims-negative"],
     )
     def test_option_values(self, capsys, argv, message):

@@ -4,7 +4,9 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +16,7 @@ from stabkit.k3 import (
     GuardViolation,
     K3CentralCharge,
     UndefinedPhase,
+    _integer_forms,
     central_charge,
     discreteness_check,
     extract_omega_beta,
@@ -32,6 +35,7 @@ from stabkit.lattice import (
     MukaiVector,
     NSLattice,
     exp_class,
+    load_lattice,
     mukai_pairing,
 )
 
@@ -103,6 +107,56 @@ class TestCentralCharge:
     def test_rejects_nonpositive_omega(self, lat2c):
         with pytest.raises(InputError):
             K3CentralCharge(lat2c, [0, 0], [0, 1])  # square -2
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def charge_on_path(lat, B_path, omega_path, t):
+    """The charge at t, for ``central_charge``.  Where omega_t^2 <= 0
+    (omega_t = 0 included) no K3CentralCharge exists; ``central_charge``
+    reads only the lattice and Om = exp(B_t + i omega_t) of its argument."""
+    B, w = B_path.at(t), omega_path.at(t)
+    if lat.ns_dot(w, w) > 0:
+        return K3CentralCharge(lat, B, w)
+    return SimpleNamespace(lat=lat, Om=exp_class(B, w, lat))
+
+
+class TestIntegerForms:
+    """The wall scan's integer forms, against the one definition of Z."""
+
+    @pytest.mark.parametrize("config", ["k3_rank1.json", "k3_rank2_curve.json"])
+    def test_forms_are_one_positive_scale_of_the_charge(self, config):
+        lat = load_lattice(CONFIGS / config)
+        rng = random.Random(config)
+
+        def rational():
+            return F(rng.randint(-7, 7), rng.randint(1, 6))
+
+        box = list(itertools.product(range(-1, 2), repeat=lat.rank + 2))  # holds the unit vectors
+        for _ in range(12):
+            t_zero = rational()  # omega vanishes here on every path
+            w1 = [rational() for _ in range(lat.rank)]
+            if not any(w1):
+                continue
+            B_path = AffinePath([rational() for _ in range(lat.rank)],
+                                [rational() or 1 for _ in range(lat.rank)])
+            omega_path = AffinePath([-t_zero * x for x in w1], w1)
+            assert not any(omega_path.at(t_zero))
+            forms = _integer_forms(lat, B_path, omega_path)
+            assert all(isinstance(x, int) for form in forms for x in form)
+            scale = None
+            for t in (t_zero, F(0), F(1), rational(), rational()):
+                zc = charge_on_path(lat, B_path, omega_path, t)
+                for x in box:
+                    re, im = (sum(sum(map(mul, form, x)) * t**k for k, form in enumerate(part))
+                              for part in (forms[:3], forms[3:]))
+                    z = central_charge(zc, MukaiVector.from_coords(x))
+                    for got, want in ((re, z.re), (im, z.im)):
+                        if want and scale is None:
+                            scale = got / want
+                            assert scale > 0
+                        assert got == (scale or 0) * want
 
 
 class TestPhase:
