@@ -435,10 +435,10 @@ class _Poly2:
         return Quad(Fraction(-self.c1, den), Fraction(sign * (2 * i - 1), den), disc)
 
     def _roots_below(self, x: Fraction, v: int) -> int:
-        """How many of the two roots lie below the rational x, given
-        v = q^2 P(x) != 0 and c2 != 0.  With the sign of c2 divided out, P
-        is negative exactly between the roots and positive elsewhere, and
-        outside them the vertex -c1 / (2 c2) tells the two sides apart."""
+        """How many roots of P lie below the rational x, given v = q^2 P(x)
+        != 0 and c2 != 0 (0 or 2 by the side of the vertex if P has none).
+        With the sign of c2 divided out, P is negative exactly between the
+        roots, and outside them the vertex -c1 / (2 c2) tells the sides apart."""
         lead = 1 if self.c2 > 0 else -1
         if lead * v < 0:
             return 1
