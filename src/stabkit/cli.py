@@ -527,6 +527,10 @@ def cmd_curve_polygon(args) -> int:
 def cmd_curve_order_check(args) -> int:
     zc = CurveCharge(parse_matrix2(args.m)) if args.m else CurveCharge.standard()
     d0, d1 = parse_range(args.d)
+    if d0.denominator != 1 or d1.denominator != 1:
+        raise InputError(f"--d expects integer degrees, got {args.d!r}")
+    if d0 > d1:
+        raise InputError(f"--d is an empty parameter range, got {args.d!r}")
     ok = phase_order_check(zc, range(int(d0), int(d1) + 1))
     print("ok" if ok else "violated")
     return 0 if ok else 1

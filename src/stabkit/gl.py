@@ -37,6 +37,7 @@ from .lattice import (
     mat_mul,
     mat_vec,
     rational_list,
+    rational_value,
     require_keys,
     require_list,
 )
@@ -126,14 +127,18 @@ class GLTildeElement:
     @staticmethod
     def from_json_dict(data: dict) -> "GLTildeElement":
         if isinstance(data, dict) and "rot" in data:
-            return GLTildeElement.rotation(Fraction(str(data["rot"])))
+            return GLTildeElement.rotation(rational_value(data["rot"], "group element 'rot'"))
         require_keys(data, ("M", "f0"), "group element")
-        if not isinstance(data["f0"], (str, int)):
-            require_keys(data["f0"], ("offset", "dir"), "f0")
-            require_list(data["f0"]["dir"], "f0 'dir'", 2)
+        f0 = data["f0"]
+        if isinstance(f0, (str, int)):
+            f0 = PhaseValue.rational(rational_value(f0, "group element 'f0'"))
+        else:
+            require_keys(f0, ("offset", "dir"), "f0")
+            direction = tuple(rational_list(f0["dir"], "f0 'dir'", 2))
+            f0 = PhaseValue(direction, rational_value(f0["offset"], "f0 'offset'"))
         require_list(data["M"], "group element 'M'", 2)
         m = tuple(tuple(rational_list(row, "group element 'M' row", 2)) for row in data["M"])
-        return GLTildeElement(m=m, f0=PhaseValue.from_json(data["f0"]))
+        return GLTildeElement(m=m, f0=f0)
 
     def to_json_dict(self) -> dict:
         if self.rot is not None:

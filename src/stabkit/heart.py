@@ -19,6 +19,8 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, cmp_to_key
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .exact import (
@@ -64,8 +66,8 @@ def _lattice(E: QuiverRep, Q: Quiver) -> SubobjectLattice:
 
 class _Catalog:
     """The bounded nonzero reps of one (quiver, bound) in enumeration
-    order, with each rep's subobject lattice and the vanishing Homs
-    between them, filled on first use.  None of it depends on a charge."""
+    order, with their subobject lattices, class profiles and vanishing
+    Homs, filled on first use.  None of it depends on a charge."""
 
     def __init__(self, Q: Quiver, max_dims: tuple):
         self.key = Q, max_dims
@@ -78,6 +80,14 @@ class _Catalog:
             self._lattices[i] = SubobjectLattice(self.reps[i], self.key[0], DEFAULT_TOTAL_DIM)
         return self._lattices[i]
 
+    @cached_property
+    def profiles(self) -> tuple:
+        """The distinct class profiles of the reps in first-seen order, and
+        per rep the index of its own among them."""
+        ids = {}
+        pids = [ids.setdefault(_profile(self.lattice(i)), len(ids)) for i in range(len(self.reps))]
+        return list(ids), pids
+
     def hom_vanishes(self, i: int, j: int) -> bool:
         """Whether Hom(reps[i], reps[j]) = 0.  Only vanishing ones are kept,
         one bit each: the sweeps ask for quadratically many pairs, nearly
@@ -88,10 +98,12 @@ class _Catalog:
             self._zero[i] |= 1 << j
         return True
 
-    def judged(self, zc: HeartCharge):
-        """(index, lattice, charge values, status, destabilizer) per rep under zc."""
-        for i in range(len(self.reps)):
-            yield (i, *_verdict(self.lattice(i), zc))
+    def judged(self, zc: HeartCharge) -> list:
+        """(index, status, charge value, destabilizer class) per rep under
+        zc, decided once per profile within this call."""
+        profiles, pids = self.profiles
+        verdicts = [_class_verdict(profile, zc)[:3] for profile in profiles]
+        return [(i, *verdicts[pid]) for i, pid in enumerate(pids)]
 
 
 def _catalog(Q: Quiver, max_dims: Sequence[int]) -> _Catalog:
@@ -126,6 +138,13 @@ def _charge_values(lat: SubobjectLattice, zc: HeartCharge) -> list:
             by_dims[dims] = x, y
         values.append(by_dims[dims])
     return values
+
+
+def _profile(lat: SubobjectLattice) -> tuple:
+    """The class profile of lat.E: the distinct dims of the lattice entries
+    in lattice order, zero first and E's own last.  By King's criterion
+    E's status and its HN extremes depend on E only through it."""
+    return tuple(dict.fromkeys(ent.dims for ent in lat.entries))
 
 
 def _cls(values: list, lo: int, hi: int) -> tuple:
@@ -252,36 +271,52 @@ def _max_destabilizer(lat: SubobjectLattice, values: list, current: int) -> int:
     return best
 
 
-def _verdict(lat: SubobjectLattice, zc: HeartCharge) -> tuple:
-    """lat, its charge values, the status of lat.E against every proper
-    nonzero subobject ('stable', 'semistable' or 'unstable'), and the
-    entry index of E's maximal destabilizer, the witness of instability."""
-    values = _charge_values(lat, zc)
-    top_val = values[lat.top]
-    first = _max_destabilizer(lat, values, lat.bottom)
-    if _cross(top_val, values[first]) > 0:  # phi(E) < phi(first)
-        return lat, values, "unstable", first
-    proper = (v for i, v in enumerate(values) if i not in (lat.bottom, lat.top))
-    stable = all(_cross(top_val, v) != 0 for v in proper)
-    return lat, values, "stable" if stable else "semistable", first
+def _class_verdict(profile: tuple, zc: HeartCharge) -> tuple:
+    """The status of a rep E with class profile `profile` ('stable',
+    'semistable' or 'unstable'), E's charge value and the classes of E's
+    first and last HN factors, equal iff E is semistable.  The first is
+    E's maximal destabilizer: the unique class of maximal phase and then
+    maximal total dimension, so the witness of instability is the one
+    entry of its class.  The last is E/S for the HN kernel S = E_{k-1}:
+    it lies in every S whose quotient has least phase, so it comes first
+    in lattice order among them."""
+    if len(profile[-1]) != zc.n:
+        raise InputError("dimension vector length disagrees with the charge")
+    xs, ys = zip(*zc._zint)
+    values = [(sum(map(mul, dims, xs)), sum(map(mul, dims, ys))) for dims in profile]
+    tx, ty = top = values[-1]
+    first = 1
+    for j in range(2, len(values)):
+        c = _cross(values[first], values[j])  # > 0 iff phi(first) < phi(j)
+        if c > 0 or (c == 0 and sum(profile[j]) > sum(profile[first])):
+            first = j
+    if _cross(top, values[first]) <= 0:  # phi(first) = phi(E): first is E
+        stable = all(tx * y - ty * x != 0 for x, y in values[1:-1])  # _cross(top, v)
+        return "stable" if stable else "semistable", top, profile[-1], profile[-1]
+    last, low = top, 0
+    for j in range(1, len(values) - 1):
+        q = (tx - values[j][0], ty - values[j][1])
+        if _cross(q, last) > 0:  # phi(q) < phi(last)
+            last, low = q, j
+    if _cross(last, values[first]) <= 0:
+        raise InvariantError("HN phases must strictly decrease")
+    return "unstable", top, profile[first], tuple(a - b for a, b in zip(profile[-1], profile[low]))
 
 
-def _lattice_verdict(E: QuiverRep, zc: HeartCharge, Q: Quiver):
-    """The subobject lattice of E, its charge values, E's status and the
-    entry index of E's maximal destabilizer."""
-    if E.is_zero():
-        raise InputError("the zero representation has no stability verdict")
-    return _verdict(_lattice(E, Q), zc)
+def _entry_of(lat: SubobjectLattice, dims: tuple) -> int:
+    """The index of the first lattice entry of class dims."""
+    return next(k for k, ent in enumerate(lat.entries) if ent.dims == dims)
 
 
 def is_semistable(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> SemistabilityVerdict:
     """Exhaustive check over all proper nonzero subobjects."""
-    lat, _, status, first = _lattice_verdict(E, zc, Q)
+    if E.is_zero():
+        raise InputError("the zero representation has no stability verdict")
+    lat = _lattice(E, Q)
+    status, _, first, _ = _class_verdict(_profile(lat), zc)
     phi = zc.phase(E.dims)
     if status == "unstable":
-        return SemistabilityVerdict(
-            status, phi, lat.sub_rep(first), lat.entries[first].dims
-        )
+        return SemistabilityVerdict(status, phi, lat.sub_rep(_entry_of(lat, first)), first)
     return SemistabilityVerdict(status, phi)
 
 
@@ -328,15 +363,6 @@ def hn_filtration(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> HNResult:
         cls = lat.interval_quotient_class(lo, hi)
         factors.append((cls, zc.phase(cls)))
     return HNResult(tuple(lat.entries[i].dims for i in chain), tuple(factors))
-
-
-def _hn_extremes(lat: SubobjectLattice, zc: HeartCharge) -> tuple:
-    """Classes of the first and the last HN factor of lat.E.  They are
-    equal iff lat.E is semistable: the phases of two or more factors
-    strictly decrease, so their classes differ."""
-    chain = _hn_chain(lat, _charge_values(lat, zc))
-    top = lat.interval_quotient_class(chain[0], chain[1])
-    return top, lat.interval_quotient_class(chain[-2], chain[-1])
 
 
 def _phases(zc: HeartCharge, classes) -> dict:
@@ -389,9 +415,10 @@ def hn_oracle(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> list:
 def jh_filtration(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> list:
     """Stable factors (with multiplicity) of a semistable representation,
     all of the same phase; the multiset is unique, the chain is not."""
-    lat, values, status, _ = _lattice_verdict(E, zc, Q)
-    if status == "unstable":
+    if not is_semistable(E, zc, Q).is_semistable():
         raise InputError("Jordan-Holder refinement needs a semistable input")
+    lat = _lattice(E, Q)
+    values = _charge_values(lat, zc)
     top_val = values[lat.top]
     above = lat.above
     factors = []
@@ -414,9 +441,10 @@ def jh_filtration(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> list:
 def jh_oracle(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> set:
     """The set of stable-factor multisets over all maximal same-phase
     chains (should be a single multiset)."""
-    lat, values, status, _ = _lattice_verdict(E, zc, Q)
-    if status == "unstable":
+    if not is_semistable(E, zc, Q).is_semistable():
         raise InputError("oracle needs a semistable input")
+    lat = _lattice(E, Q)
+    values = _charge_values(lat, zc)
     top_val = values[lat.top]
     above, below = lat.above, lat.below
     multisets = set()
@@ -620,9 +648,9 @@ def slicing_distance(
     in first-seen order (which keeps max's choice among equal values).
     """
     extremes = {}  # (top1, bot1, top2, bot2) classes, first-seen order
-    cat = _catalog(Q, max_dims)
-    for lat in map(cat.lattice, range(len(cat.reps))):
-        extremes[_hn_extremes(lat, zc1) + _hn_extremes(lat, zc2)] = None
+    profiles, _ = _catalog(Q, max_dims).profiles
+    for profile in profiles:
+        extremes[_class_verdict(profile, zc1)[2:] + _class_verdict(profile, zc2)[2:]] = None
     phases1 = _phases(zc1, (c for key in extremes for c in key[:2]))
     phases2 = _phases(zc2, (c for key in extremes for c in key[2:]))
     sup: Optional[PhaseValue] = None
@@ -673,8 +701,8 @@ def stability_norm(
     if len(U) != zc.n:
         raise InputError("linear form length disagrees with the charge")
     best = Fraction(0)
-    judged = _catalog(Q, max_dims).judged(zc)
-    for dims in {lat.E.dims for _, lat, _, status, _ in judged if status != "unstable"}:
+    cat = _catalog(Q, max_dims)
+    for dims in {cat.reps[i].dims for i, status, _, _ in cat.judged(zc) if status != "unstable"}:
         u = sum((uv.scale(d) for d, uv in zip(dims, U) if d), RatComplex(0, 0))
         best = max(best, u.abs2() / zc.abs2(dims))
     return NormValue(Quad(best), truncated=True)
@@ -747,17 +775,21 @@ def _hom_vanishing(cat: _Catalog, semis: list) -> tuple[int, list]:
     """Hom(E, F) = 0 for every pair of semistables with phi(E) > phi(F).
 
     semis holds (catalog index, integer charge value) per semistable under
-    one charge, so the phase order is the cross product of the values.
-    Returns (pairs checked, [(E.dims, F.dims) of each failing pair]).
+    one charge.  Their distinct phases, as primitive rays, are ranked once,
+    so each E is paired with the semistables of lower rank, in enumeration
+    order.  Returns (pairs checked, [(E.dims, F.dims) of each failing pair]).
     """
-    checked = 0
-    failures = []
-    for (i, (ex, ey)), (j, (fx, fy)) in itertools.product(semis, semis):
-        if fx * ey - fy * ex > 0:  # phi(E) > phi(F), as in _cross
-            checked += 1
-            if not cat.hom_vanishes(i, j):
-                failures.append((cat.reps[i].dims, cat.reps[j].dims))
-    return checked, failures
+    rays = [(x // g, y // g) for _, (x, y) in semis for g in (math.gcd(x, y),)]
+    ascending = sorted(set(rays), key=cmp_to_key(lambda a, b: _cross(b, a)))
+    ranks = [ascending.index(ray) for ray in rays]
+    lower = [[j for (j, _), s in zip(semis, ranks) if s < r] for r in range(len(ascending))]
+    failures = [
+        (cat.reps[i].dims, cat.reps[j].dims)
+        for (i, _), r in zip(semis, ranks)
+        for j in lower[r]
+        if not cat.hom_vanishes(i, j)
+    ]
+    return sum(len(lower[r]) for r in ranks), failures
 
 
 def slicing_hom_vanishing(
@@ -768,8 +800,7 @@ def slicing_hom_vanishing(
     """Hom(P(phi1), P(phi2)) = 0 for phi1 > phi2, exhaustively on the
     bounded set; returns (pairs checked, failures)."""
     cat = _catalog(Q, max_dims)
-    semis = [(i, vals[lat.top]) for i, lat, vals, status, _ in cat.judged(zc)
-             if status != "unstable"]
+    semis = [(i, top) for i, status, top, _ in cat.judged(zc) if status != "unstable"]
     checked, failures = _hom_vanishing(cat, semis)
     return checked, tuple(failures)
 
@@ -799,14 +830,17 @@ def hom_principles_check(
     semis = []  # (catalog index, integer charge value) of the semistables
     stables = []  # (E, integer charge value) of the stables
     unsplit = []  # unstable E that do not split against their maximal destabilizer
-    for i, lat, values, status, first in cat.judged(zc):
+    for i, status, top, first in cat.judged(zc):
         if status != "unstable":
-            semis.append((i, values[lat.top]))
+            semis.append((i, top))
             if status == "stable":
-                stables.append((lat.E, values[lat.top]))
-        # the witness is E's maximal destabilizer entries[first], the
-        # first step of its HN chain: a proper nonzero subobject
-        elif hom_space(lat.sub_rep(first), lat.quotient_rep(first), Q)[0] != 0:
+                stables.append((cat.reps[i], top))
+            continue
+        # the witness is E's maximal destabilizer, the first step of its
+        # HN chain: a proper nonzero subobject
+        lat = cat.lattice(i)
+        k = _entry_of(lat, first)
+        if hom_space(lat.sub_rep(k), lat.quotient_rep(k), Q)[0] != 0:
             unsplit.append(lat.E.dims)
     checked, vanishing = _hom_vanishing(cat, semis)
     failures = [("hom-vanishing", *pair) for pair in vanishing]
@@ -873,10 +907,11 @@ def local_finiteness_probe(
         raise InputError("eta must be positive")
     groups = {}  # (top, bottom) HN factor classes -> [object count, max total dim]
     cat = _catalog(Q, max_dims)
-    for i, E in enumerate(cat.reps):
-        group = groups.setdefault(_hn_extremes(cat.lattice(i), zc), [0, 0])
-        group[0] += 1
-        group[1] = max(group[1], E.total_dim())
+    profiles, pids = cat.profiles
+    for pid, profile in enumerate(profiles):
+        group = groups.setdefault(_class_verdict(profile, zc)[2:], [0, 0])
+        group[0] += pids.count(pid)
+        group[1] = max(group[1], sum(profile[-1]))
     phase = _phases(zc, (c for key in groups for c in key))
     phases = []  # the distinct phases of semistable objects, first-seen order
     for top, bot in groups:

@@ -41,6 +41,15 @@ def require_list(data, what: str, length: Optional[int]) -> None:
         raise InputError(f"{what} must be {shape}, got {data!r}")
 
 
+def rational_value(data, what: str) -> Fraction:
+    """The JSON value data as an exact rational; raises InputError naming
+    `what` unless it is a number or a rational string."""
+    try:
+        return Fraction(str(data))
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"{what} must be a number or a rational string, got {data!r}") from None
+
+
 def rational_list(data, what: str, length: Optional[int]) -> list:
     """The JSON list data, of `length` values unless that is None, as exact
     rationals; raises InputError naming `what` unless every entry is a

@@ -395,8 +395,16 @@ class TestMalformedInput:
              "f0 'dir' must be a list of 2 values, got 5"),
             ('{"M": [["a", "0"], ["0", "1"]], "f0": "0"}',
              "group element 'M' row must hold numbers or rational strings, got ['a', '0']"),
+            ('{"rot": "1/0"}', "group element 'rot' must be a number or a rational string, "
+             "got '1/0'"),
+            ('{"rot": "x"}', "group element 'rot' must be a number or a rational string, got 'x'"),
+            ('{"M": [["1", "0"], ["0", "1"]], "f0": "1/0"}',
+             "group element 'f0' must be a number or a rational string, got '1/0'"),
+            ('{"M": [["1", "0"], ["0", "1"]], "f0": {"dir": [1, 0], "offset": "1/0"}}',
+             "f0 'offset' must be a number or a rational string, got '1/0'"),
         ],
-        ids=["matrix", "row", "f0-dir", "entry"],
+        ids=["matrix", "row", "f0-dir", "entry", "rot-zero-denominator", "rot-literal",
+             "f0-zero-denominator", "f0-offset"],
     )
     def test_inline_group_element_shape(self, capsys, element, message):
         assert main(["group", "compose", "--g", element, "--h", "{}"]) == 2
@@ -430,6 +438,18 @@ class TestMalformedInput:
     def test_option_values(self, capsys, argv, message):
         assert main(["quiver", argv[0], "--config", A2_CONFIG, *argv[1:]]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "degrees, message",
+        [
+            ("5..-5", "--d is an empty parameter range, got '5..-5'"),
+            ("1/2..5/2", "--d expects integer degrees, got '1/2..5/2'"),
+        ],
+        ids=["empty", "fractional"],
+    )
+    def test_order_check_degrees(self, capsys, degrees, message):
+        assert main(["curve", "order-check", f"--d={degrees}"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_negative_dimension_without_arrows(self, tmp_path, capsys):
         # no matrix shape can catch it on a quiver without arrows

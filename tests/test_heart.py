@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 import subprocess
 import sys
 import textwrap
@@ -880,21 +882,24 @@ class TestPrinciples:
         assert rep.ok
         assert len({id(E) for E in endo_calls}) == len(endo_calls) > 0
 
-    def test_one_destabilizer_scan_per_rep(self, monkeypatch):
-        # the split check of an unstable rep reuses its verdict's scan
+    def test_one_destabilizer_scan_per_profile(self, monkeypatch):
+        # reps with one class profile share one verdict, and the split
+        # check of an unstable rep reuses its verdict's scan
         Q, zc = load_quiver_config(CONFIGS / "kronecker.json")
         scans = []
-        max_destabilizer = heart._max_destabilizer
+        class_verdict = heart._class_verdict
 
-        def counting(lat, values, current):
-            scans.append(current)
-            return max_destabilizer(lat, values, current)
+        def counting(profile, zc):
+            scans.append(profile)
+            return class_verdict(profile, zc)
 
-        monkeypatch.setattr(heart, "_max_destabilizer", counting)
+        monkeypatch.setattr(heart, "_class_verdict", counting)
         rep = hom_principles_check(zc, Q, (2, 2))
         reps = list(enumerate_reps(Q, (2, 2)))
+        profiles = {_profile_of(E, Q) for E in reps}
         assert rep.ok
-        assert len(scans) == len(reps)
+        assert len(scans) == len(set(scans)) == len(profiles) == 18
+        assert len(reps) == 296
         assert sum(1 for E in reps if not is_semistable(E, zc, Q).is_semistable()) > 0
 
 
@@ -914,19 +919,90 @@ class TestLazyMasks:
         monkeypatch.setattr(SubobjectLattice, "_containment_masks", counting)
         return builds
 
-    def test_verdicts_and_hom_sweeps_build_no_masks(self, a2, z_std, mask_builds):
+    def test_verdicts_and_hom_sweeps_build_no_masks(self, a2, z_std, mask_builds, monkeypatch):
+        monkeypatch.setattr(heart, "_SLOT", threading.local())
         Q, zc = load_quiver_config(CONFIGS / "kronecker.json")
         verdicts = [is_semistable(E, z_std, a2).status for E in enumerate_reps(a2, (2, 2))]
         assert {"stable", "semistable", "unstable"} <= set(verdicts)
         assert hom_principles_check(z_std, a2, (2, 2)).ok
         assert hom_principles_check(zc, Q, (2, 1)).ok
         assert slicing_hom_vanishing(zc, Q, (2, 2))[1] == ()
+        assert slicing_distance(zc, _charge((1, 1), (-1, 2)), Q, (2, 2)) > 0
+        assert local_finiteness_probe(zc, Q, F(1, 8), (2, 2)).slices
         assert mask_builds == []
 
     def test_hn_filtration_builds_them(self, a2, z_std, S1, S2, mask_builds):
         E = direct_sum(a2, S1, S2)
         assert len(hn_filtration(E, z_std, a2).factors) == 2
         assert mask_builds == [E]
+
+
+def _profile_of(E, Q):
+    """The distinct classes of E's subobjects, in lattice order."""
+    return tuple(dict.fromkeys(ent.dims for ent in SubobjectLattice(E, Q, 6).entries))
+
+
+def _seeded_charges(n, seed, count=2):
+    """count charges on n vertices with small integer values in H-bar."""
+    rng = random.Random(seed)
+    values = [(x, y) for x in range(-3, 4) for y in range(4) if y > 0 or x < 0]
+    return [_charge(*rng.choices(values, k=n)) for _ in range(count)]
+
+
+def _profile_cases():
+    """(quiver, bound, charges): the configs/ charges (the criterion 6
+    charge on A3) and seeded ones."""
+    a2, z_a2 = load_quiver_config(CONFIGS / "a2.json")
+    k2, z_k2 = load_quiver_config(CONFIGS / "kronecker.json")
+    a3 = Quiver.a_n(3, p=2)
+    z_a3 = _charge((-1, 1), (0, 1), (1, 1))
+    return [
+        pytest.param(a2, (3, 2), [z_a2, *_seeded_charges(2, 1)], id="a2-3,2"),
+        pytest.param(a3, (2, 2, 2), [z_a3, *_seeded_charges(3, 2)], id="a3-2,2,2"),
+        pytest.param(k2, (2, 2), [z_k2, *_seeded_charges(2, 3)], id="kronecker-2,2"),
+    ]
+
+
+def _lattice_status(lat, phase):
+    """lat.E's status read off every proper nonzero entry by exact phases."""
+    phi = phase(lat.E.dims)
+    proper = [phase(ent.dims) for ent in lat.entries[1:-1]]
+    if any(q > phi for q in proper):
+        return "unstable"
+    return "semistable" if phi in proper else "stable"
+
+
+class TestClassProfiles:
+    """Verdicts and HN extremes are decided once per class profile; the
+    class route agrees with the lattice, rep by rep."""
+
+    @pytest.mark.parametrize("Q, bound, charges", _profile_cases())
+    def test_class_route_matches_lattice_route(self, Q, bound, charges, monkeypatch):
+        monkeypatch.setattr(heart, "_SLOT", threading.local())
+        cat = heart._catalog(Q, bound)
+        profiles, pids = cat.profiles
+        assert [profiles[pid] for pid in pids] == [_profile_of(E, Q) for E in cat.reps]
+        assert len(profiles) < len(cat.reps)
+        seen = set()  # (status, more than two HN factors)
+        for zc in charges:
+            phase = functools.lru_cache(maxsize=None)(zc.phase)
+            ends = [heart._class_verdict(profile, zc)[2:] for profile in profiles]
+            for (i, status, top, first), pid in zip(cat.judged(zc), pids):
+                E = cat.reps[i]
+                assert status == _lattice_status(cat.lattice(i), phase)
+                assert PhaseValue(top, zc.rot) == phase(E.dims)
+                hn = hn_filtration(E, zc, Q)
+                assert first == ends[pid][0] == hn.factors[0][0]
+                assert ends[pid][1] == hn.factors[-1][0]
+                seen.add((status, len(hn.factors) > 2))
+        assert seen == {("stable", False), ("semistable", False), ("unstable", False),
+                        ("unstable", True)}
+
+    def test_phases_that_fail_to_decrease_raise(self, z_std):
+        # no rep has this profile: two classes lie above E = (0, 1), so the
+        # quotient values leave H-bar and the two scans disagree
+        with pytest.raises(InvariantError, match="strictly decrease"):
+            heart._class_verdict(((0, 0), (1, 0), (1, 1), (0, 1)), z_std)
 
 
 def _order_cases():
