@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Union
+from typing import Union
 
 Rational = Union[int, Fraction]
 
@@ -728,15 +728,6 @@ class SqrtSum(_ExactOrder):
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def as_single_sqrt(self) -> Optional[Fraction]:
-        """The rational q with self = sqrt(q), when the sum has <= 1 term."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1:
-            d, c = self.terms[0]
-            return c * c * d
-        return None
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
         lo = hi = Fraction(0)

@@ -135,6 +135,8 @@ class GLTildeElement:
         else:
             require_keys(f0, ("offset", "dir"), "f0")
             direction = tuple(rational_list(f0["dir"], "f0 'dir'", 2))
+            if not any(direction):
+                raise InputError(f"f0 'dir' must be a nonzero vector, got {f0['dir']!r}")
             f0 = PhaseValue(direction, rational_value(f0["offset"], "f0 'offset'"))
         require_list(data["M"], "group element 'M'", 2)
         m = tuple(tuple(rational_list(row, "group element 'M' row", 2)) for row in data["M"])

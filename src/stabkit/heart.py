@@ -60,7 +60,7 @@ def _lattice(E: QuiverRep, Q: Quiver) -> SubobjectLattice:
     if last is not None and last[0] is E and last[1] == Q:
         return last[2]
     lat = SubobjectLattice(E, Q, DEFAULT_TOTAL_DIM)
-    _SLOT.last = E, Q, lat
+    _SLOT.last = E, Q, lat, None, None
     return lat
 
 
@@ -117,26 +117,32 @@ def _catalog(Q: Quiver, max_dims: Sequence[int]) -> _Catalog:
     return cat
 
 
-def _charge_values(lat: SubobjectLattice, zc: HeartCharge) -> list:
+def _charge_values(lat: SubobjectLattice, zc: HeartCharge) -> tuple:
     """The integer charge value (x, y) of every lattice entry, so that
     every phase comparison inside the HN machinery is a single integer
     cross product: phi(a) < phi(b) iff a.x b.y - a.y b.x > 0 on H-bar.
     Every entry has the length of lat.E.dims, so that is checked once.
+
+    The values on the slot's lattice ride in the slot, matched by the
+    identity of (lat, zc), which it holds: greedy HN and its oracle
+    compute them once.
     """
-    zint = zc._zint
-    if len(lat.E.dims) != len(zint):
+    last = getattr(_SLOT, "last", None)
+    if last is not None and last[2] is lat and last[3] is zc:
+        return last[4]
+    if len(lat.E.dims) != len(zc._zint):
         raise InputError("dimension vector length disagrees with the charge")
+    dims = [ent.dims for ent in lat.entries]
     by_dims = {}
-    values = []
-    for ent in lat.entries:
-        dims = ent.dims
-        if dims not in by_dims:
-            x = y = 0
-            for d, (zx, zy) in zip(dims, zint):
-                x += d * zx
-                y += d * zy
-            by_dims[dims] = x, y
-        values.append(by_dims[dims])
+    for d in set(dims):
+        x = y = 0
+        for k, (zx, zy) in zip(d, zc._zint):
+            x += k * zx
+            y += k * zy
+        by_dims[d] = x, y
+    values = tuple(map(by_dims.__getitem__, dims))
+    if last is not None and last[2] is lat:
+        _SLOT.last = *last[:3], zc, values
     return values
 
 

@@ -425,14 +425,6 @@ class MukaiVector:
     def is_zero(self) -> bool:
         return self.r == 0 and self.s == 0 and all(x == 0 for x in self.l)
 
-    def is_integral(self) -> bool:
-        def ok(x):
-            return isinstance(x, int) or (
-                isinstance(x, Fraction) and x.denominator == 1
-            )
-
-        return ok(self.r) and ok(self.s) and all(ok(x) for x in self.l)
-
     def coords(self) -> tuple:
         return (self.r, *self.l, self.s)
 

@@ -12,8 +12,10 @@ controlled by a hard resource bound on the total dimension.  A vector of
 F_p^d is a tuple, and a subspace holds its vectors and a basis.  Every
 rank, kernel, change of basis and basis completion comes from one
 elimination on packed rows, one Python int per nonzero value of F_p (a
-single bit plane over F_2).  A subobject lattice fixes its containment
-order on first read, so a semistability verdict never builds it.
+single bit plane over F_2).  A subobject lattice tests each tuple of
+subspaces with one bit per arrow, from per-arrow inclusion masks read off
+a cached order table per (d, p), and fixes its containment order on
+first read, so a semistability verdict never builds it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import graphlib
 import itertools
 import json
 from dataclasses import dataclass
-from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import getitem, mul
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .exact import InvariantError, RatComplex
 from .lattice import InputError, rational_list, require_keys, require_list
@@ -246,12 +248,18 @@ def subspaces_of(d: int, p: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def subspace_leq_table(d: int, p: int) -> tuple:
-    """leq[i][j] = subspace i is contained in subspace j."""
+def _subspace_order(d: int, p: int) -> tuple:
+    """The containment order of subspaces_of(d, p) by index: (index,
+    up_masks, ups, downs, by_dim).  index maps element sets to indices; bit
+    j of up_masks[i] is set iff subspace i lies in j; ups[i] and downs[i]
+    list the j above and below i, i included; by_dim[k] ranges over dim k."""
     spaces = subspaces_of(d, p)
-    return tuple(
-        tuple(a.elems <= b.elems for b in spaces) for a in spaces
-    )
+    ups = tuple(tuple(j for j, b in enumerate(spaces) if a.elems <= b.elems) for a in spaces)
+    downs = tuple(tuple(j for j, b in enumerate(spaces) if b.elems <= a.elems) for a in spaces)
+    dims = [sp.dim for sp in spaces]
+    by_dim = tuple(range(dims.index(k), dims.index(k) + dims.count(k)) for k in range(d + 1))
+    index = {sp.elems: i for i, sp in enumerate(spaces)}
+    return index, tuple(sum(1 << j for j in js) for js in ups), ups, downs, by_dim
 
 
 # ---------------------------------------------------------------------------
@@ -492,14 +500,13 @@ def euler_pairing(d: Sequence[int], e: Sequence[int], Q: Quiver) -> int:
 # subobject lattices
 
 
-@dataclass(frozen=True)
-class SubobjectEntry:
-    """One arrow-closed tuple of subspaces: indices into subspaces_of(d,p)
-    per vertex, plus the induced dimension vector and its total."""
+class SubobjectEntry(NamedTuple):
+    """One arrow-closed tuple of subspaces: its total, dimension vector and
+    indices into subspaces_of(d, p) per vertex, in the lattice's order."""
 
-    space_idx: tuple
-    dims: tuple
     total: int
+    dims: tuple
+    space_idx: tuple
 
 
 class SubobjectLattice:
@@ -514,25 +521,28 @@ class SubobjectLattice:
         p = Q.p
         per_vertex = [subspaces_of(d, p) for d in E.dims]
         self._per_vertex = per_vertex
-        # for each arrow and each source subspace, the images of its
-        # basis: they span its image, which lies in a subspace iff they do
-        img = [
-            [frozenset(mat_apply(mat, v, p) for v in sp.basis) for sp in per_vertex[a]]
-            for mat, (a, _) in zip(E.mats, Q.arrows)
-        ]
+        tables = [_subspace_order(d, p) for d in E.dims]
+        # for each arrow and each source subspace s, the bitmask of the
+        # target subspaces that contain the image of s: the image's
+        # element set names the least of them in the target's table
+        checks = []
+        for mat, (a, b) in zip(E.mats, Q.arrows):
+            image = {v: mat_apply(mat, v, p) for v in _vectors(E.dims[a], p)}
+            index, up_masks = tables[b][:2]
+            images = [frozenset([image[v] for v in sp.elems]) for sp in per_vertex[a]]
+            checks.append(([up_masks[index[s]] for s in images], a, b))
+        # the subspaces of each dimension vector in turn, by total and then
+        # dims (a stable sort of the product), give the lattice order
+        by_dim = [t[4] for t in tables]
         entries = []
-        ranges = [range(len(per_vertex[v])) for v in range(Q.n)]
-        for choice in itertools.product(*ranges):
-            ok = True
-            for idx, (a, b) in enumerate(Q.arrows):
-                if not img[idx][choice[a]] <= per_vertex[b][choice[b]].elems:
-                    ok = False
-                    break
-            if ok:
-                dims = tuple(per_vertex[v][choice[v]].dim for v in range(Q.n))
-                entries.append(SubobjectEntry(choice, dims, sum(dims)))
-        # deterministic order: total dim, then dims, then space indices
-        entries.sort(key=lambda s: (s.total, s.dims, s.space_idx))
+        for dims in sorted(itertools.product(*[range(d + 1) for d in E.dims]), key=sum):
+            total = sum(dims)
+            for choice in itertools.product(*map(getitem, by_dim, dims)):
+                for masks, a, b in checks:
+                    if not masks[choice[a]] >> choice[b] & 1:
+                        break
+                else:
+                    entries.append(SubobjectEntry(total, dims, choice))
         self.entries = entries
         self.bottom, self.top = 0, len(entries) - 1
 
@@ -553,24 +563,22 @@ class SubobjectLattice:
     def _containment_masks(self) -> tuple[list, list]:
         """(above, below).  Per vertex, the entries are grouped by their
         subspace there; containment is the AND over the vertices of the
-        groups whose subspaces contain (or lie in) it."""
+        unions of the groups whose subspaces contain (or lie in) it."""
         n = len(self.entries)
         above = [(1 << n) - 1] * n
         below = list(above)
         for v, d in enumerate(self.E.dims):
-            leq = subspace_leq_table(d, self.Q.p)
-            by_space: dict = {}
-            for i, ent in enumerate(self.entries):
-                s = ent.space_idx[v]
-                by_space[s] = by_space.get(s, 0) | 1 << i
+            up_lists, down_lists = _subspace_order(d, self.Q.p)[2:4]
+            col = [ent.space_idx[v] for ent in self.entries]
+            groups = [0] * len(up_lists)
+            for i, s in enumerate(col):
+                groups[s] |= 1 << i
             # the groups are disjoint bit sets, so their sum is their union
-            ups, downs = {}, {}
-            for s in by_space:
-                ups[s] = sum(m for t, m in by_space.items() if leq[s][t])
-                downs[s] = sum(m for t, m in by_space.items() if leq[t][s])
-            for i, ent in enumerate(self.entries):
-                above[i] &= ups[ent.space_idx[v]]
-                below[i] &= downs[ent.space_idx[v]]
+            used = set(col)
+            ups = {s: sum([groups[t] for t in up_lists[s]]) for s in used}
+            downs = {s: sum([groups[t] for t in down_lists[s]]) for s in used}
+            above = [m & ups[s] for m, s in zip(above, col)]
+            below = [m & downs[s] for m, s in zip(below, col)]
         for i in range(n):
             above[i] ^= 1 << i
             below[i] ^= 1 << i

@@ -402,9 +402,11 @@ class TestMalformedInput:
              "group element 'f0' must be a number or a rational string, got '1/0'"),
             ('{"M": [["1", "0"], ["0", "1"]], "f0": {"dir": [1, 0], "offset": "1/0"}}',
              "f0 'offset' must be a number or a rational string, got '1/0'"),
+            ('{"M": [["1", "0"], ["0", "1"]], "f0": {"dir": [0, "0/3"], "offset": "0"}}',
+             "f0 'dir' must be a nonzero vector, got [0, '0/3']"),
         ],
         ids=["matrix", "row", "f0-dir", "entry", "rot-zero-denominator", "rot-literal",
-             "f0-zero-denominator", "f0-offset"],
+             "f0-zero-denominator", "f0-offset", "f0-zero-dir"],
     )
     def test_inline_group_element_shape(self, capsys, element, message):
         assert main(["group", "compose", "--g", element, "--h", "{}"]) == 2

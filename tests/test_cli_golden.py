@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,6 +85,40 @@ def test_readme_command_matches_golden(argv, tmp_path, monkeypatch):
     monkeypatch.delenv("STABKIT_BOUND", raising=False)
     golden = json.loads(GOLDEN.read_text())
     assert run_command(argv, tmp_path) == golden[_key(argv)]
+
+
+# run by a child interpreter: the quiver rows, as {key: run_command(...)}
+_CHILD = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import test_cli_golden as g
+runs = {}
+for argv in g.COMMANDS:
+    if argv[0] == "quiver":
+        with tempfile.TemporaryDirectory() as tmp:
+            runs[g._key(argv)] = g.run_command(argv, Path(tmp))
+print(json.dumps({"optimize": sys.flags.optimize, "runs": runs}))
+"""
+
+
+def test_quiver_commands_match_golden_under_python_O(tmp_path):
+    """The quiver rows again, in a child `python -O` (no assert statement
+    runs) with PYTHONHASHSEED=1 (another set and dict order of strings
+    than this process's), against the same goldens."""
+    env = {k: v for k, v in os.environ.items() if k != "STABKIT_BOUND"}
+    env["PYTHONHASHSEED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CHILD, str(Path(__file__).resolve().parent)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    golden = json.loads(GOLDEN.read_text())
+    assert child["optimize"] == 1
+    assert child["runs"] == {_key(a): golden[_key(a)] for a in COMMANDS if a[0] == "quiver"}
+    assert len(child["runs"]) == 7
 
 
 if __name__ == "__main__":

@@ -376,6 +376,60 @@ class TestLatticeSlot:
         assert failures == []
 
 
+def _pairings(lat, zc):
+    """The integer charge value of each entry, one pairing per entry."""
+    return tuple(
+        (sum(d * x for d, (x, _) in zip(e.dims, zc._zint)),
+         sum(d * y for d, (_, y) in zip(e.dims, zc._zint)))
+        for e in lat.entries
+    )
+
+
+class TestChargeValueSlot:
+    """The charge values on the slot's lattice ride in the lattice slot,
+    matched by the identity of (lattice, charge)."""
+
+    @pytest.fixture
+    def served(self, monkeypatch):
+        """Every value tuple _charge_values returned, from an empty slot.
+        A computation makes a new tuple, so a served one is the same
+        object as before."""
+        out = []
+        charge_values = heart._charge_values
+
+        def spying(lat, zc):
+            out.append(charge_values(lat, zc))
+            return out[-1]
+
+        monkeypatch.setattr(heart, "_charge_values", spying)
+        monkeypatch.setattr(heart, "_SLOT", threading.local())
+        return out
+
+    def test_greedy_and_oracle_compute_them_once(self, a2, z_swapped, P, served):
+        hn = hn_filtration(P, z_swapped, a2)
+        assert hn_oracle(P, z_swapped, a2) == [hn.chain_dims]
+        assert len(served) == 2 and served[1] is served[0]
+        assert served[0] == _pairings(heart._lattice(P, a2), z_swapped)
+
+    def test_another_charge_computes_them_again(self, a2, z_std, z_swapped, P, served):
+        twin = HeartCharge(z_std.z, z_std.rot)
+        charges = (z_std, z_swapped, z_std, twin)
+        for zc in charges:
+            assert hn_oracle(P, zc, a2) == [hn_filtration(P, zc, a2).chain_dims]
+        lat = heart._lattice(P, a2)
+        assert served == [_pairings(lat, zc) for zc in charges for _ in "hn"]
+        # one computation per charge change: the slot keeps only the last
+        assert len({id(values) for values in served}) == len(charges)
+        assert _pairings(lat, z_std) != _pairings(lat, z_swapped)
+
+    def test_a_lattice_outside_the_slot_is_not_kept(self, a2, z_std, P, served):
+        hn_filtration(P, z_std, a2)
+        other = SubobjectLattice(P, a2)
+        first, second = heart._charge_values(other, z_std), heart._charge_values(other, z_std)
+        assert first == second == served[0] and first is not second
+        assert hn_oracle(P, z_std, a2) and served[-1] is served[0]
+
+
 class TestRepCatalog:
     """The sweeps share one catalog of reps, lattices and Hom spaces per
     (quiver, bound), kept in a one-slot memo per thread and matched by
@@ -793,7 +847,7 @@ class TestNormAndMass:
 
     def test_mass_semistable(self, a2, z_std, P):
         m = mass(P, z_std, a2)
-        assert m.as_single_sqrt() == 4  # |Z(P)| = |2i| = 2
+        assert m == SqrtSum.sqrt_of(4)  # |Z(P)| = |2i| = 2
 
     def test_mass_of_sum(self, a2, z_std, S1, S2):
         m = mass(direct_sum(a2, S1, S2), z_std, a2)

@@ -239,12 +239,18 @@ class TestContainmentMasks:
             (Quiver.a_n(2, p=2), (2, 2)),
             (Quiver.a_n(3, p=2), (1, 2, 1)),
             (Quiver.kronecker(2, 2), (2, 2)),
+            (Quiver.a_n(2, p=3), (2, 2)),
+            (Quiver.kronecker(2, 3), (1, 2)),
+            (Quiver(3, [(1, 0), (1, 2)], 2), (2, 2, 1)),
         ],
-        ids=["A2", "A3", "K2"],
+        ids=["A2", "A3", "K2", "A2-F3", "K2-F3", "A3-middle-source"],
     )
     def test_every_rep_matches_pairwise_reference(self, Q, max_dims):
         for E in enumerate_reps(Q, max_dims):
             lat = SubobjectLattice(E, Q)
+            keys = [(e.total, e.dims, e.space_idx) for e in lat.entries]
+            assert keys == sorted(keys)
+            assert all(e.total == sum(e.dims) for e in lat.entries)
             assert (lat.above, lat.below) == _reference_order(lat)
             spans = set(_entry_spans(lat))
             assert len(spans) == len(lat) and spans == _closed_tuples(E, Q)
