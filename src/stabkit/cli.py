@@ -83,8 +83,17 @@ def default_bound() -> int:
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational: {text!r} ({exc})")
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"not a rational: {text!r}") from None
+
+
+def _option(name: str, parse, *args):
+    """parse(*args) on the value of the option name, which then prefixes
+    the message of an InputError."""
+    try:
+        return parse(*args)
+    except InputError as exc:
+        raise InputError(f"{name}: {exc}") from None
 
 
 def parse_range(text: str) -> tuple[Fraction, Fraction]:
@@ -304,7 +313,8 @@ def _vertex_bound(args, Q: Quiver) -> tuple:
 
 def _mukai_charge(args, lat: NSLattice) -> ComplexMukaiVector:
     return ComplexMukaiVector(
-        parse_mukai_vector(args.re, lat.rank), parse_mukai_vector(args.im, lat.rank)
+        _option("--re", parse_mukai_vector, args.re, lat.rank),
+        _option("--im", parse_mukai_vector, args.im, lat.rank),
     )
 
 
@@ -314,14 +324,14 @@ def _mukai_charge(args, lat: NSLattice) -> ComplexMukaiVector:
 
 def cmd_k3_scan(args) -> int:
     lat = load_lattice(args.lattice)
-    b_parts = parse_path_expr(args.B, lat.rank)
-    w_parts = parse_path_expr(args.omega, lat.rank)
-    t0, t1 = parse_range(args.t)
+    b_parts = _option("--B", parse_path_expr, args.B, lat.rank)
+    w_parts = _option("--omega", parse_path_expr, args.omega, lat.rank)
+    t0, t1 = _option("--t", parse_range, args.t)
     bound = _box_bound(args)
     box = DeltaBox.cube(bound)
     note = f"stabkit k3 scan B=({args.B}) omega=({args.omega}) t={args.t} bound={bound}"
     if args.u is not None:
-        u0, u1 = parse_range(args.u)
+        u0, u1 = _option("--u", parse_range, args.u)
         if any(x != 0 for x in w_parts["u"]) or any(x != 0 for x in b_parts["t"]):
             raise InputError("two-parameter plots need B affine in u and omega in t")
         B_of_u = AffinePath(b_parts[None], b_parts["u"])
@@ -348,9 +358,9 @@ def cmd_k3_scan(args) -> int:
 
 
 def _charge_at(args, lat) -> K3CentralCharge:
-    b_parts = parse_path_expr(args.B, lat.rank, ("t",))
-    w_parts = parse_path_expr(args.omega, lat.rank, ("t",))
-    t = parse_rational(args.t) if args.t is not None else Fraction(0)
+    b_parts = _option("--B", parse_path_expr, args.B, lat.rank, ("t",))
+    w_parts = _option("--omega", parse_path_expr, args.omega, lat.rank, ("t",))
+    t = _option("--t", parse_rational, args.t) if args.t is not None else Fraction(0)
     B = AffinePath(b_parts[None], b_parts["t"]).at(t)
     omega = AffinePath(w_parts[None], w_parts["t"]).at(t)
     return K3CentralCharge(lat, B, omega)
@@ -435,7 +445,7 @@ def cmd_quiver_check(args) -> int:
         data = {"suite": "slicing", "ok": not failures, "checked": checked,
                 "failures": [list(map(str, f)) for f in failures]}
     elif args.suite == "local-finiteness":
-        eta = parse_rational(args.eta) if args.eta else Fraction(1, 2)
+        eta = _option("--eta", parse_rational, args.eta) if args.eta else Fraction(1, 2)
         rep = local_finiteness_probe(zc, Q, eta, bound)
         data = {
             "suite": "local-finiteness",
@@ -452,9 +462,9 @@ def cmd_quiver_check(args) -> int:
 def cmd_quiver_deform(args) -> int:
     Q, zc = _charged_quiver(args)
     bound = _vertex_bound(args, Q)
-    eps = parse_rational(args.eps)
+    eps = _option("--eps", parse_rational, args.eps)
     if args.rotate is not None:
-        wc = zc.rotated(parse_rational(args.rotate))
+        wc = zc.rotated(_option("--rotate", parse_rational, args.rotate))
     elif args.perturb is not None:
         deltas = {}
         for part in args.perturb.split(";"):
@@ -468,7 +478,7 @@ def cmd_quiver_deform(args) -> int:
                 raise InputError(f"--perturb names vertex {i} twice")
             if i not in range(Q.n):
                 raise InputError(f"--perturb: no vertex {i} in a quiver with {Q.n}")
-            deltas[i] = RatComplex(parse_rational(re_s), parse_rational(im_s))
+            deltas[i] = RatComplex(*(_option("--perturb", parse_rational, x) for x in (re_s, im_s)))
         new_z = [
             z + deltas.get(i, RatComplex(0, 0)) for i, z in enumerate(zc.z)
         ]
@@ -506,7 +516,7 @@ def cmd_quiver_tilt(args) -> int:
 
 
 def cmd_curve_decompose(args) -> int:
-    zc = CurveCharge(parse_matrix2(args.m))
+    zc = CurveCharge(_option("--m", parse_matrix2, args.m))
     try:
         M = gl_orbit_decompose(zc)
     except NotInOrbit as exc:
@@ -517,16 +527,16 @@ def cmd_curve_decompose(args) -> int:
 
 
 def cmd_curve_polygon(args) -> int:
-    zc = CurveCharge(parse_matrix2(args.m)) if args.m else CurveCharge.standard()
-    parts = [CurveClass.parse(p) for p in args.parts.split()]
+    zc = CurveCharge(_option("--m", parse_matrix2, args.m)) if args.m else CurveCharge.standard()
+    parts = [_option("--parts", CurveClass.parse, p) for p in args.parts.split()]
     poly = hn_polygon(parts, zc)
     _write(args.output, report.polygon_csv(poly, f"stabkit curve polygon {args.parts}"))
     return 0
 
 
 def cmd_curve_order_check(args) -> int:
-    zc = CurveCharge(parse_matrix2(args.m)) if args.m else CurveCharge.standard()
-    d0, d1 = parse_range(args.d)
+    zc = CurveCharge(_option("--m", parse_matrix2, args.m)) if args.m else CurveCharge.standard()
+    d0, d1 = _option("--d", parse_range, args.d)
     if d0.denominator != 1 or d1.denominator != 1:
         raise InputError(f"--d expects integer degrees, got {args.d!r}")
     if d0 > d1:
@@ -557,7 +567,7 @@ def cmd_group_compose(args) -> int:
 def cmd_group_act(args) -> int:
     g = _element_from(args.g)
     if args.curve_m:
-        out = act_on_charge(g, CurveCharge(parse_matrix2(args.curve_m)))
+        out = act_on_charge(g, CurveCharge(_option("--curve-m", parse_matrix2, args.curve_m)))
         print("m =", [[frac_str(x) for x in row] for row in out.m])
         return 0
     lat = load_lattice(args.lattice)
@@ -569,7 +579,7 @@ def cmd_group_act(args) -> int:
 
 def cmd_group_commute(args) -> int:
     lat = load_lattice(args.lattice)
-    images = parse_iso(args.iso, lat)
+    images = _option("--iso", parse_iso, args.iso, lat)
     g = _element_from(args.g)
     om = _mukai_charge(args, lat)
     ok = commute_check(images, g, om, lat)

@@ -36,7 +36,10 @@ class CurveClass:
 
     @staticmethod
     def parse(text: str) -> "CurveClass":
-        r, d = (int(x) for x in text.split(","))
+        try:
+            r, d = (int(x) for x in text.split(","))
+        except ValueError:
+            raise InputError(f"a curve class is two integers r,d, got {text!r}") from None
         return CurveClass(r, d)
 
 

@@ -44,6 +44,7 @@ from .quiver import (
     ext1_dim,
     euler_pairing,
     hom_space,
+    iso_classes,
     mat_is_invertible,
 )
 
@@ -66,44 +67,68 @@ def _lattice(E: QuiverRep, Q: Quiver) -> SubobjectLattice:
 
 class _Catalog:
     """The bounded nonzero reps of one (quiver, bound) in enumeration
-    order, with their subobject lattices, class profiles and vanishing
-    Homs, filled on first use.  None of it depends on a charge."""
+    order and their isomorphism classes, filled on first use with the
+    subobject lattice and class profile of each class's first member and
+    one bit per pair of classes whose Hom vanishes.  None of it depends
+    on a charge.
+
+    Every sweep verdict (status, HN factors, Hom dimensions) is an
+    isomorphism invariant, so the sweeps decide it once per class and
+    weight it by the class sizes.  A failure names reps only by their
+    dimension vectors, so member_dims and member_pairs expand it over the
+    members in enumeration order, the order of a sweep over every rep.
+    """
 
     def __init__(self, Q: Quiver, max_dims: tuple):
         self.key = Q, max_dims
         self.reps = list(enumerate_reps(Q, max_dims))
-        self._lattices = [None] * len(self.reps)
-        self._zero = [0] * len(self.reps)  # bit j of _zero[i]: Hom(reps[i], reps[j]) = 0
+        self.members = iso_classes(self.reps, Q)
+        self.first = [self.reps[m[0]] for m in self.members]
+        self.of = [0] * len(self.reps)  # the class of each rep
+        for c, members in enumerate(self.members):
+            for i in members:
+                self.of[i] = c
+        self._lattices = [None] * len(self.members)
+        self._zero = [0] * len(self.members)  # bit d of _zero[c]: Hom(class c, class d) = 0
 
-    def lattice(self, i: int) -> SubobjectLattice:
-        if self._lattices[i] is None:
-            self._lattices[i] = SubobjectLattice(self.reps[i], self.key[0], DEFAULT_TOTAL_DIM)
-        return self._lattices[i]
+    def lattice(self, c: int) -> SubobjectLattice:
+        if self._lattices[c] is None:
+            self._lattices[c] = SubobjectLattice(self.first[c], self.key[0], DEFAULT_TOTAL_DIM)
+        return self._lattices[c]
 
     @cached_property
-    def profiles(self) -> tuple:
-        """The distinct class profiles of the reps in first-seen order, and
-        per rep the index of its own among them."""
-        ids = {}
-        pids = [ids.setdefault(_profile(self.lattice(i)), len(ids)) for i in range(len(self.reps))]
-        return list(ids), pids
+    def profiles(self) -> list:
+        """The class profile of each class."""
+        return [_profile(self.lattice(c)) for c in range(len(self.members))]
 
-    def hom_vanishes(self, i: int, j: int) -> bool:
-        """Whether Hom(reps[i], reps[j]) = 0.  Only vanishing ones are kept,
-        one bit each: the sweeps ask for quadratically many pairs, nearly
-        all 0, while a box can hold a thousand isomorphic stables."""
-        if not self._zero[i] >> j & 1:
-            if hom_space(self.reps[i], self.reps[j], self.key[0])[0]:
+    def hom_vanishes(self, c: int, d: int) -> bool:
+        """Whether Hom from class c to class d vanishes.  Only vanishing ones
+        are kept, one bit each: the sweeps ask for quadratically many
+        pairs, nearly all 0."""
+        if not self._zero[c] >> d & 1:
+            if hom_space(self.first[c], self.first[d], self.key[0])[0]:
                 return False
-            self._zero[i] |= 1 << j
+            self._zero[c] |= 1 << d
         return True
 
     def judged(self, zc: HeartCharge) -> list:
-        """(index, status, charge value, destabilizer class) per rep under
-        zc, decided once per profile within this call."""
-        profiles, pids = self.profiles
-        verdicts = [_class_verdict(profile, zc)[:3] for profile in profiles]
-        return [(i, *verdicts[pid]) for i, pid in enumerate(pids)]
+        """(class, status, charge value, destabilizer class) per class
+        under zc."""
+        return [(c, *_class_verdict(profile, zc)[:3]) for c, profile in enumerate(self.profiles)]
+
+    def member_dims(self, classes) -> list:
+        """The dims of every member of the given classes, in enumeration
+        order."""
+        classes = set(classes)
+        return [E.dims for E, c in zip(self.reps, self.of) if c in classes]
+
+    def member_pairs(self, bad: set) -> list:
+        """(E.dims, F.dims) for every pair of reps whose classes make a pair
+        (c, d) in bad, E and then F in enumeration order."""
+        lefts, rights = {c for c, _ in bad}, {d for _, d in bad}
+        es = [(E.dims, c) for E, c in zip(self.reps, self.of) if c in lefts]
+        fs = [(E.dims, d) for E, d in zip(self.reps, self.of) if d in rights]
+        return [(e, f) for e, c in es for f, d in fs if (c, d) in bad]
 
 
 def _catalog(Q: Quiver, max_dims: Sequence[int]) -> _Catalog:
@@ -539,8 +564,9 @@ def torsion_pair_verify(
     bound: for each E there must be a subobject in T whose quotient is
     left perpendicular to all of T.
 
-    The predicate must be isomorphism-closed (caller's duty; spot checked
-    on conjugated representations).
+    The predicate must be isomorphism-closed: it is spot-checked on
+    conjugated representations and evaluated on every bounded rep, and a
+    class of isomorphic reps that it splits fails.
     """
     return _torsion_pair(t_predicate, Q, max_dims)[0]
 
@@ -551,22 +577,33 @@ def _torsion_pair(
     max_dims: Sequence[int],
 ) -> tuple:
     """The torsion-pair report, the catalog of the bounded nonzero reps it
-    was decided on and the catalog indices of those in T."""
-    cat = _catalog(Q, max_dims)
-    t_idx = [i for i, E in enumerate(cat.reps) if t_predicate(E)]
-    t_list = [cat.reps[i] for i in t_idx]
-    # axiom i is built into the definition of F = T-perp; spot-check the
-    # predicate's iso-closure by a unitriangular base change
-    for T in t_list[:4]:
-        conj = _conjugate_rep(T, Q)
-        if not t_predicate(conj):
-            report = TorsionPairReport(
-                False, T, "iso-closure", "predicate is not isomorphism closed"
-            )
-            return report, cat, t_idx
+    was decided on and the catalog classes in T.
 
-    for i, E in enumerate(cat.reps):
-        lat = cat.lattice(i)
+    The predicate is evaluated on every rep.  A class on which it is not
+    constant fails iso-closure, with the first rep of T in such a class as
+    the witness.  So T is a union of classes, and the decomposition is
+    decided on the first member of each class, whose subobjects and
+    quotients stand for those of every member up to isomorphism.
+    """
+    cat = _catalog(Q, max_dims)
+    in_t = [bool(t_predicate(E)) for E in cat.reps]
+    # axiom i is built into the definition of F = T-perp; the predicate's
+    # iso-closure is spot-checked by a unitriangular base change, then
+    # checked on every class
+    t_reps = [E for E, t in zip(cat.reps, in_t) if t]
+    witness = next((T for T in t_reps[:4] if not t_predicate(_conjugate_rep(T, Q))), None)
+    if witness is None:
+        mixed = {c for c, members in enumerate(cat.members) if len({in_t[i] for i in members}) > 1}
+        witness = next((E for E, t, c in zip(cat.reps, in_t, cat.of) if t and c in mixed), None)
+    if witness is not None:
+        report = TorsionPairReport(
+            False, witness, "iso-closure", "predicate is not isomorphism closed"
+        )
+        return report, cat, []
+    t_classes = [c for c, members in enumerate(cat.members) if in_t[members[0]]]
+    t_list = [cat.first[c] for c in t_classes]
+    for c, E in enumerate(cat.first):
+        lat = cat.lattice(c)
         for k in range(len(lat.entries)):
             sub = lat.sub_rep(k)
             if not (sub.is_zero() or t_predicate(sub)):
@@ -578,8 +615,8 @@ def _torsion_pair(
             report = TorsionPairReport(
                 False, E, "decomposition", f"no T-sub with T-perp quotient for dims {E.dims}"
             )
-            return report, cat, t_idx
-    return TorsionPairReport(True), cat, t_idx
+            return report, cat, t_classes
+    return TorsionPairReport(True), cat, t_classes
 
 
 def _conjugate_rep(E: QuiverRep, Q: Quiver) -> QuiverRep:
@@ -614,20 +651,23 @@ def tilt_heart_check(
     for consistency with the Euler form.  The degenerate identities
     (F = 0 gives back the original heart, T = 0 its shift) are reported.
     """
-    pair, cat, t_idx = _torsion_pair(t_predicate, Q, max_dims)
+    pair, cat, t_classes = _torsion_pair(t_predicate, Q, max_dims)
     if not pair.ok:
         return TiltReport(False, failures=((pair.axiom, pair.witness),))
-    t_list = [cat.reps[i] for i in t_idx]
-    f_list = [F for j, F in enumerate(cat.reps) if all(cat.hom_vanishes(i, j) for i in t_idx)]
-    failures = [  # Hom(T, F) = 0 by the definition of F
-        ("euler-consistency", (T.dims, F.dims))
-        for T, F in itertools.product(t_list, f_list)
-        if -ext1_dim(T, F, Q) != euler_pairing(T.dims, F.dims, Q)
+    f_classes = [
+        d for d in range(len(cat.members)) if all(cat.hom_vanishes(c, d) for c in t_classes)
     ]
+    bad = {  # Hom(T, F) = 0 by the definition of F
+        (c, d)
+        for c, d in itertools.product(t_classes, f_classes)
+        if -ext1_dim(cat.first[c], cat.first[d], Q)
+        != euler_pairing(cat.first[c].dims, cat.first[d].dims, Q)
+    }
+    failures = [("euler-consistency", dims) for dims in cat.member_pairs(bad)]
     degenerate = None
-    if not f_list:
+    if not f_classes:
         degenerate = "identity"  # F = 0: the tilt is the original heart
-    elif not t_list:
+    elif not t_classes:
         degenerate = "shift"  # T = 0: the tilt is the shifted heart
     return TiltReport(not failures, degenerate, tuple(failures))
 
@@ -654,8 +694,7 @@ def slicing_distance(
     in first-seen order (which keeps max's choice among equal values).
     """
     extremes = {}  # (top1, bot1, top2, bot2) classes, first-seen order
-    profiles, _ = _catalog(Q, max_dims).profiles
-    for profile in profiles:
+    for profile in _catalog(Q, max_dims).profiles:
         extremes[_class_verdict(profile, zc1)[2:] + _class_verdict(profile, zc2)[2:]] = None
     phases1 = _phases(zc1, (c for key in extremes for c in key[:2]))
     phases2 = _phases(zc2, (c for key in extremes for c in key[2:]))
@@ -708,7 +747,7 @@ def stability_norm(
         raise InputError("linear form length disagrees with the charge")
     best = Fraction(0)
     cat = _catalog(Q, max_dims)
-    for dims in {cat.reps[i].dims for i, status, _, _ in cat.judged(zc) if status != "unstable"}:
+    for dims in {cat.first[c].dims for c, status, _, _ in cat.judged(zc) if status != "unstable"}:
         u = sum((uv.scale(d) for d, uv in zip(dims, U) if d), RatComplex(0, 0))
         best = max(best, u.abs2() / zc.abs2(dims))
     return NormValue(Quad(best), truncated=True)
@@ -780,22 +819,19 @@ def deformation_test(
 def _hom_vanishing(cat: _Catalog, semis: list) -> tuple[int, list]:
     """Hom(E, F) = 0 for every pair of semistables with phi(E) > phi(F).
 
-    semis holds (catalog index, integer charge value) per semistable under
+    semis holds (class, integer charge value) per semistable class under
     one charge.  Their distinct phases, as primitive rays, are ranked once,
-    so each E is paired with the semistables of lower rank, in enumeration
-    order.  Returns (pairs checked, [(E.dims, F.dims) of each failing pair]).
+    so each class is paired with the semistable classes of lower rank.
+    Returns (pairs of reps checked, [(E.dims, F.dims) of each failing pair
+    of reps, in enumeration order]).
     """
     rays = [(x // g, y // g) for _, (x, y) in semis for g in (math.gcd(x, y),)]
     ascending = sorted(set(rays), key=cmp_to_key(lambda a, b: _cross(b, a)))
     ranks = [ascending.index(ray) for ray in rays]
-    lower = [[j for (j, _), s in zip(semis, ranks) if s < r] for r in range(len(ascending))]
-    failures = [
-        (cat.reps[i].dims, cat.reps[j].dims)
-        for (i, _), r in zip(semis, ranks)
-        for j in lower[r]
-        if not cat.hom_vanishes(i, j)
-    ]
-    return sum(len(lower[r]) for r in ranks), failures
+    lower = [[d for (d, _), s in zip(semis, ranks) if s < r] for r in range(len(ascending))]
+    pairs = [(c, d) for (c, _), r in zip(semis, ranks) for d in lower[r]]
+    checked = sum(len(cat.members[c]) * len(cat.members[d]) for c, d in pairs)
+    return checked, cat.member_pairs({(c, d) for c, d in pairs if not cat.hom_vanishes(c, d)})
 
 
 def slicing_hom_vanishing(
@@ -806,7 +842,7 @@ def slicing_hom_vanishing(
     """Hom(P(phi1), P(phi2)) = 0 for phi1 > phi2, exhaustively on the
     bounded set; returns (pairs checked, failures)."""
     cat = _catalog(Q, max_dims)
-    semis = [(i, top) for i, status, top, _ in cat.judged(zc) if status != "unstable"]
+    semis = [(c, top) for c, status, top, _ in cat.judged(zc) if status != "unstable"]
     checked, failures = _hom_vanishing(cat, semis)
     return checked, tuple(failures)
 
@@ -833,41 +869,41 @@ def hom_principles_check(
         with vanishing Hom.
     """
     cat = _catalog(Q, max_dims)
-    semis = []  # (catalog index, integer charge value) of the semistables
-    stables = []  # (E, integer charge value) of the stables
-    unsplit = []  # unstable E that do not split against their maximal destabilizer
-    for i, status, top, first in cat.judged(zc):
+    semis = []  # (class, integer charge value) of the semistable classes
+    stables = []  # (class, integer charge value) of the stable classes
+    unsplit = []  # unstable classes that do not split against their maximal destabilizer
+    for c, status, top, first in cat.judged(zc):
         if status != "unstable":
-            semis.append((i, top))
+            semis.append((c, top))
             if status == "stable":
-                stables.append((cat.reps[i], top))
+                stables.append((c, top))
             continue
         # the witness is E's maximal destabilizer, the first step of its
         # HN chain: a proper nonzero subobject
-        lat = cat.lattice(i)
+        lat = cat.lattice(c)
         k = _entry_of(lat, first)
         if hom_space(lat.sub_rep(k), lat.quotient_rep(k), Q)[0] != 0:
-            unsplit.append(lat.E.dims)
+            unsplit.append(c)
     checked, vanishing = _hom_vanishing(cat, semis)
-    failures = [("hom-vanishing", *pair) for pair in vanishing]
-    endos = []  # (E, basis of Hom(E, E)) per stable E, in order
-    for (E, ve), (F, vf) in itertools.product(stables, stables):
-        if _cross(ve, vf) != 0:
+    not_iso = set()  # pairs of stable classes with a nonzero Hom but no isomorphism
+    not_division = []  # stable classes whose endomorphisms are no division ring
+    for (c, vc), (d, vd) in itertools.product(stables, stables):
+        if _cross(vc, vd) != 0:
             continue  # towards higher phase unconstrained, towards lower by i)
-        hdim, basis = hom_space(E, F, Q)
-        if E is F:
-            endos.append((E, basis))
+        hdim, basis = hom_space(cat.first[c], cat.first[d], Q)
+        if c == d and not _all_nonzero_invertible(basis, Q):
+            not_division.append(c)
         if hdim == 0:
             continue
-        checked += 1
+        checked += len(cat.members[c]) * len(cat.members[d])
         if not _span_contains_iso(basis, Q):
-            failures.append(("stable-hom-not-iso", E.dims, F.dims))
-    for E, basis in endos:
-        checked += 1
-        if not _all_nonzero_invertible(basis, Q):
-            failures.append(("endo-not-division", E.dims, None))
-    checked += len(cat.reps) - len(semis)
-    failures.extend(("unstable-decomposition", dims, None) for dims in unsplit)
+            not_iso.add((c, d))
+    checked += sum(len(cat.members[c]) for c, _ in stables)  # one endomorphism ring each
+    checked += len(cat.reps) - sum(len(cat.members[c]) for c, _ in semis)  # one split each
+    failures = [("hom-vanishing", *pair) for pair in vanishing]
+    failures.extend(("stable-hom-not-iso", *pair) for pair in cat.member_pairs(not_iso))
+    failures.extend(("endo-not-division", dims, None) for dims in cat.member_dims(not_division))
+    failures.extend(("unstable-decomposition", dims, None) for dims in cat.member_dims(unsplit))
     return PrinciplesReport(not failures, checked, tuple(failures))
 
 
@@ -913,10 +949,9 @@ def local_finiteness_probe(
         raise InputError("eta must be positive")
     groups = {}  # (top, bottom) HN factor classes -> [object count, max total dim]
     cat = _catalog(Q, max_dims)
-    profiles, pids = cat.profiles
-    for pid, profile in enumerate(profiles):
+    for c, profile in enumerate(cat.profiles):
         group = groups.setdefault(_class_verdict(profile, zc)[2:], [0, 0])
-        group[0] += pids.count(pid)
+        group[0] += len(cat.members[c])
         group[1] = max(group[1], sum(profile[-1]))
     phase = _phases(zc, (c for key in groups for c in key))
     phases = []  # the distinct phases of semistable objects, first-seen order

@@ -41,6 +41,12 @@ def require_list(data, what: str, length: Optional[int]) -> None:
         raise InputError(f"{what} must be {shape}, got {data!r}")
 
 
+def require_int(data, what: str) -> None:
+    """Raise InputError unless data is a JSON integer (not a boolean)."""
+    if type(data) is not int:
+        raise InputError(f"{what} must be an integer, got {data!r}")
+
+
 def rational_value(data, what: str) -> Fraction:
     """The JSON value data as an exact rational; raises InputError naming
     `what` unless it is a number or a rational string."""
@@ -363,8 +369,10 @@ class NSLattice:
         curves = data.get("neg2_curves", [])
         require_list(curves, "lattice file 'neg2_curves'", None)
         curves = [rational_list(c, "lattice file 'neg2_curves' entry", None) for c in curves]
-        if "rank" in data and len(gram) != data["rank"]:
-            raise InputError("rank disagrees with gram size")
+        if "rank" in data:
+            require_int(data["rank"], "lattice file 'rank'")
+            if len(gram) != data["rank"]:
+                raise InputError("rank disagrees with gram size")
         return NSLattice(gram, ample_ref, curves)
 
 

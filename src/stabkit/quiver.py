@@ -15,7 +15,9 @@ elimination on packed rows, one Python int per nonzero value of F_p (a
 single bit plane over F_2).  A subobject lattice tests each tuple of
 subspaces with one bit per arrow, from per-arrow inclusion masks read off
 a cached order table per (d, p), and fixes its containment order on
-first read, so a semistability verdict never builds it.
+first read, so a semistability verdict never builds it.  The isomorphism
+classes of a box are the orbits of the base changes, found by a search
+over elementary row and column operations.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from operator import getitem, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .exact import InvariantError, RatComplex
-from .lattice import InputError, rational_list, require_keys, require_list
+from .lattice import InputError, rational_list, require_int, require_keys, require_list
 
 
 class ResourceBound(RuntimeError):
@@ -307,8 +309,7 @@ class Quiver:
     def from_json_dict(data: dict) -> "Quiver":
         require_keys(data, ("vertices", "arrows", "p"), "quiver config")
         for key in ("vertices", "p"):
-            if not isinstance(data[key], int):
-                raise InputError(f"quiver config {key!r} must be an integer, got {data[key]!r}")
+            require_int(data[key], f"quiver config {key!r}")
         require_list(data["arrows"], "quiver config 'arrows'", None)
         for arrow in data["arrows"]:
             require_list(arrow, "quiver config 'arrows' entry", 2)
@@ -707,6 +708,77 @@ def enumerate_reps(Q: Quiver, max_dims: Sequence[int]) -> Iterator[QuiverRep]:
     return itertools.chain.from_iterable(
         enumerate_reps_of_dims(dims, Q) for dims in boxes if any(dims)
     )
+
+
+def _elementary_moves(dims: tuple, p: int) -> list:
+    """The elementary generators of prod_v GL(dims[v], F_p), each as
+    (v, i, j, c, c'): g_v = I + c E_ij, so that g_v M adds c times row j
+    to row i and M g_v^-1 adds c' times column i to column j.  They are
+    the transvections (i != j, c = 1, c' = -1) and, over p > 2, the
+    scaling of coordinate 0 by a generator g of F_p^* (c = g - 1,
+    c' = 1/g - 1); together they generate the group."""
+    g = next((g for g in range(2, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1), 1)
+    moves = []
+    for v, d in enumerate(dims):
+        moves.extend((v, i, j, 1, p - 1) for i in range(d) for j in range(d) if i != j)
+        if g != 1 and d:
+            moves.append((v, 0, 0, g - 1, pow(g, p - 2, p) - 1))
+    return moves
+
+
+def _moved(mats: tuple, arrows: tuple, move: tuple, p: int) -> tuple:
+    """The matrices of a rep after the base change of one elementary move:
+    M_a becomes g_t M_a g_s^-1, a row operation on the matrices into v and
+    a column operation on those out of it (no arrow is a loop)."""
+    v, i, j, c, ci = move
+    out = []
+    for (s, t), M in zip(arrows, mats):
+        if t == v:
+            rows = list(M)
+            rows[i] = tuple([(x + c * y) % p for x, y in zip(M[i], M[j])])
+            M = tuple(rows)
+        elif s == v:
+            M = tuple([row[:j] + ((row[j] + ci * row[i]) % p,) + row[j + 1:] for row in M])
+        out.append(M)
+    return tuple(out)
+
+
+def iso_classes(reps: Sequence[QuiverRep], Q: Quiver) -> list[list[int]]:
+    """The isomorphism classes of reps, as lists of their indices in
+    increasing order, ordered by their first member.  reps must hold the
+    whole orbit of each member, as every box of enumerate_reps does.
+
+    prod_v GL(d_v, F_p) acts by M_a -> g_t M_a g_s^-1, and its orbits are
+    the isomorphism classes.  The group is finite and generated by the
+    elementary moves, so an orbit is the closure of one member under
+    them: a breadth-first search from the first member not yet placed.
+    """
+    index = {(E.dims, E.mats): i for i, E in enumerate(reps)}
+    placed = [False] * len(reps)
+    classes = []
+    moves = {}
+    for first, E in enumerate(reps):
+        if placed[first]:
+            continue
+        if E.dims not in moves:
+            moves[E.dims] = _elementary_moves(E.dims, Q.p)
+        placed[first] = True
+        members, frontier = [first], [E.mats]
+        while frontier:
+            found = []
+            for mats in frontier:
+                for move in moves[E.dims]:
+                    image = _moved(mats, Q.arrows, move, Q.p)
+                    i = index.get((E.dims, image))
+                    if i is None:
+                        raise InputError("the reps do not hold every orbit they meet")
+                    if not placed[i]:
+                        placed[i] = True
+                        members.append(i)
+                        found.append(image)
+            frontier = found
+        classes.append(sorted(members))
+    return classes
 
 
 def random_rep(dims: Sequence[int], Q: Quiver, rng) -> QuiverRep:

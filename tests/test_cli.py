@@ -12,6 +12,7 @@ from stabkit.quiver import Quiver
 
 F = Fraction
 A2_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "a2.json")
+K3_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "k3_rank1.json")
 
 
 @pytest.fixture
@@ -370,10 +371,20 @@ class TestMalformedInput:
              ["quiver", "check", "--suite", "gp", "--config"],
              "quiver config 'charge' entry must hold numbers or rational strings, "
              "got ['a', '1']"),
+            ({"gram": [[2]], "ample_ref": [1], "rank": True},
+             ["k3", "guard", "--B", "0", "--omega", "t*h", "--t", "2", "--lattice"],
+             "lattice file 'rank' must be an integer, got True"),
+            ({"gram": [[2]], "ample_ref": [1], "rank": "1"},
+             ["k3", "guard", "--B", "0", "--omega", "t*h", "--t", "2", "--lattice"],
+             "lattice file 'rank' must be an integer, got '1'"),
+            ({"vertices": True, "arrows": [], "p": 2},
+             ["quiver", "check", "--suite", "gp", "--config"],
+             "quiver config 'vertices' must be an integer, got True"),
         ],
         ids=["quiver-key", "quiver-list", "lattice-key", "group-key", "f0-key",
              "charge-entry", "charge", "arrow", "vertices", "gram-row", "curves",
-             "gram-nested", "gram-entry", "charge-value"],
+             "gram-nested", "gram-entry", "charge-value", "rank-bool", "rank-string",
+             "vertices-bool"],
     )
     def test_config_files(self, tmp_path, capsys, data, argv, message):
         path = tmp_path / "config.json"
@@ -452,6 +463,31 @@ class TestMalformedInput:
     def test_order_check_degrees(self, capsys, degrees, message):
         assert main(["curve", "order-check", f"--d={degrees}"]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["k3", "guard", "--lattice", K3_CONFIG, "--B", "0", "--omega", "t*h", "--t", "x"],
+             "--t: not a rational: 'x'"),
+            (["k3", "guard", "--lattice", K3_CONFIG, "--B", "0", "--omega", "t*q", "--t", "2"],
+             "--omega: not a rational: 'q'"),
+            (["k3", "scan", "--lattice", K3_CONFIG, "--B", "[1/0]", "--omega", "t*h",
+              "--t", "1..2"], "--B: not a rational: '1/0'"),
+            (["quiver", "deform", "--config", A2_CONFIG, "--eps", "1/8", "--perturb", "0:x,0"],
+             "--perturb: not a rational: 'x'"),
+            (["quiver", "deform", "--config", A2_CONFIG, "--eps", "e", "--rotate", "1/6"],
+             "--eps: not a rational: 'e'"),
+            (["curve", "order-check", "--d=x..1"], "--d: not a rational: 'x'"),
+            (["curve", "polygon", "--parts", "0,1 x"],
+             "--parts: a curve class is two integers r,d, got 'x'"),
+            (["curve", "polygon", "--parts", "0,1,2"],
+             "--parts: a curve class is two integers r,d, got '0,1,2'"),
+        ],
+        ids=["t", "omega", "B", "perturb", "eps", "d", "parts", "parts-length"],
+    )
+    def test_parse_errors_name_the_option(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_negative_dimension_without_arrows(self, tmp_path, capsys):
         # no matrix shape can catch it on a quiver without arrows

@@ -1,4 +1,5 @@
-"""Byte-for-byte golden outputs of every README CLI command on configs/.
+"""Byte-for-byte golden outputs of every README CLI command on configs/,
+and of the gp and slicing sweeps on the Kronecker quiver at bound 2,3.
 
 Each command runs in-process through ``cli.main`` in an empty working
 directory; its exit code, stdout and every file it writes are compared
@@ -36,6 +37,8 @@ COMMANDS = [
     ["quiver", "hn", "--config", A2, "--rep", "dims=[1,1];f=[[1]]"],
     ["quiver", "check", "--config", A2, "--suite", "gp", "--bound", "2,2"],
     ["quiver", "check", "--config", KRONECKER, "--suite", "slicing", "--bound", "2,2"],
+    ["quiver", "check", "--config", KRONECKER, "--suite", "gp", "--bound", "2,3"],
+    ["quiver", "check", "--config", KRONECKER, "--suite", "slicing", "--bound", "2,3"],
     ["quiver", "check", "--config", A2, "--suite", "local-finiteness", "--bound", "2,2"],
     ["quiver", "deform", "--config", A2, "--eps", "1/8", "--bound", "2,2",
      "--perturb", "0:1/10,0"],
@@ -73,10 +76,13 @@ def _key(argv) -> str:
 
 
 def _id(argv) -> str:
-    """The subcommand, and the suite of a sweep other than gp."""
+    """The subcommand, the suite of a sweep other than gp and a quiver
+    bound other than 2,2."""
     words = argv[:2]
     if "--suite" in argv and argv[argv.index("--suite") + 1] != "gp":
         words = words + [argv[argv.index("--suite") + 1]]
+    if argv[0] == "quiver" and "--bound" in argv and argv[argv.index("--bound") + 1] != "2,2":
+        words = words + ["bound", argv[argv.index("--bound") + 1]]
     return " ".join(words)
 
 
@@ -118,7 +124,7 @@ def test_quiver_commands_match_golden_under_python_O(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     assert child["optimize"] == 1
     assert child["runs"] == {_key(a): golden[_key(a)] for a in COMMANDS if a[0] == "quiver"}
-    assert len(child["runs"]) == 7
+    assert len(child["runs"]) == 9
 
 
 if __name__ == "__main__":

@@ -37,6 +37,8 @@ from stabkit.quiver import (
     SubobjectLattice,
     enumerate_reps,
     enumerate_reps_of_dims,
+    euler_pairing,
+    iso_classes,
     load_quiver_config,
 )
 
@@ -465,13 +467,15 @@ class TestRepCatalog:
         return load_quiver_config(CONFIGS / "kronecker.json")
 
     def test_gp_slicing_distance_build_each_lattice_once(self, kronecker, calls):
+        # one lattice per isomorphism class, that of its first member
         Q, zc = kronecker
         assert hom_principles_check(zc, Q, (2, 2)).ok
         assert slicing_hom_vanishing(zc, Q, (2, 2))[1] == ()
         slicing_distance(zc, _charge((1, 1), (-1, 2)), Q, (2, 2))
         reps = list(enumerate_reps(Q, (2, 2)))
-        assert calls["lattice"] == reps
-        assert len({id(E) for E in calls["lattice"]}) == len(reps)
+        firsts = [reps[members[0]] for members in iso_classes(reps, Q)]
+        assert calls["lattice"] == firsts
+        assert len({id(E) for E in calls["lattice"]}) == len(firsts) == 34
 
     def test_slicing_after_gp_computes_no_hom(self, kronecker, calls):
         Q, zc = kronecker
@@ -689,6 +693,21 @@ class TestTorsionPairs:
         assert rep.witness == QuiverRep((1, 2), (M,), a2)
         assert not one_matrix(heart._conjugate_rep(rep.witness, a2))
 
+    def test_predicate_split_on_a_class_fails_iso_closure(self, a2):
+        # the base change of the spot check fixes M, but M has two
+        # isomorphic reps outside T: the class check names M
+        M = ((1,), (0,))
+
+        def one_matrix(E):
+            return E.dims == (1, 2) and E.mats == (M,)
+
+        E = QuiverRep((1, 2), (M,), a2)
+        assert heart._conjugate_rep(E, a2) == E
+        rep = torsion_pair_verify(one_matrix, a2, (2, 2))
+        assert (rep.ok, rep.axiom, rep.witness) == (False, "iso-closure", E)
+        tilt = tilt_heart_check(one_matrix, a2, (2, 2))
+        assert tilt.failures == (("iso-closure", E),)
+
 
 class TestTilt:
     def test_degenerate_identity(self, a2):
@@ -726,6 +745,91 @@ class TestTilt:
         assert tilt_heart_check(predicate, a2, (2, 2)).ok
         assert alone["reps"] == 1
         assert counts == alone
+
+
+def _reference_principles(zc, Q, max_dims):
+    """hom_principles_check's count and failures, one rep at a time, from
+    heart's hom_space and Schur checks as they are bound when called."""
+    hom = heart.hom_space
+    reps = list(enumerate_reps(Q, max_dims))
+    verdicts = [is_semistable(E, zc, Q) for E in reps]
+    semis = [(E, v.phase) for E, v in zip(reps, verdicts) if v.is_semistable()]
+    stables = [(E, v.phase) for E, v in zip(reps, verdicts) if v.status == "stable"]
+    lower = [(E, F) for E, pe in semis for F, pf in semis if pe > pf]
+    checked = len(lower)
+    failures = [("hom-vanishing", E.dims, F.dims) for E, F in lower if hom(E, F, Q)[0]]
+    for (E, pe), (F, pf) in itertools.product(stables, stables):
+        hdim, basis = hom(E, F, Q)
+        if pe == pf and hdim:
+            checked += 1
+            if not heart._span_contains_iso(basis, Q):
+                failures.append(("stable-hom-not-iso", E.dims, F.dims))
+    for E, _ in stables:
+        checked += 1
+        if not heart._all_nonzero_invertible(hom(E, E, Q)[1], Q):
+            failures.append(("endo-not-division", E.dims, None))
+    for E, v in zip(reps, verdicts):
+        if not v.is_semistable():
+            checked += 1
+            lat = SubobjectLattice(E, Q)
+            k = next(k for k, ent in enumerate(lat.entries) if ent.dims == v.witness_dims)
+            if hom(lat.sub_rep(k), lat.quotient_rep(k), Q)[0]:
+                failures.append(("unstable-decomposition", E.dims, None))
+    return checked, tuple(failures)
+
+
+class TestFailuresOverIsomorphicReps:
+    """The sweeps decide each check once per isomorphism class; a failing
+    class fails at each of its reps, listed in the order of a sweep over
+    every rep.  The checks are doctored here, invariantly under
+    isomorphism, so that every kind of failure occurs."""
+
+    @pytest.fixture
+    def doctored(self, monkeypatch):
+        """Every Hom space at least one-dimensional, which a zero Hom then
+        spans with no isomorphism in it, and no division rings."""
+        hom_space = heart.hom_space
+
+        def nonvanishing(E, F, Q):
+            hdim, basis = hom_space(E, F, Q)
+            return max(hdim, 1), basis
+
+        monkeypatch.setattr(heart, "hom_space", nonvanishing)
+        monkeypatch.setattr(heart, "_all_nonzero_invertible", lambda basis, Q: False)
+        monkeypatch.setattr(heart, "_SLOT", threading.local())
+
+    def test_principles_match_a_sweep_over_every_rep(self, doctored):
+        kinds = set()
+        for config, bound in itertools.product(("a2.json", "kronecker.json"), ((2, 1), (2, 2))):
+            Q, zc = load_quiver_config(CONFIGS / config)
+            rep = hom_principles_check(zc, Q, bound)
+            assert (rep.checked_pairs, rep.failures) == _reference_principles(zc, Q, bound)
+            kinds.update(f[0] for f in rep.failures)
+            vanishing = [f[1:] for f in rep.failures if f[0] == "hom-vanishing"]
+            assert slicing_hom_vanishing(zc, Q, bound) == (len(vanishing), tuple(vanishing))
+        assert kinds == {"hom-vanishing", "stable-hom-not-iso", "endo-not-division",
+                         "unstable-decomposition"}
+
+    def test_tilt_matches_a_sweep_over_every_rep(self, a2, monkeypatch):
+        # Ext^1 off by one where T's dimension at the sink equals F's at
+        # the source
+        ext1 = heart.ext1_dim
+
+        def off_by_one(E, F, Q):
+            return ext1(E, F, Q) + (E.dims[1] == F.dims[0])
+
+        monkeypatch.setattr(heart, "ext1_dim", off_by_one)
+        reps = list(enumerate_reps(a2, (2, 2)))
+        t_list = [E for E in reps if E.dims[0] == 0]
+        f_list = [F for F in reps if all(heart.hom_space(T, F, a2)[0] == 0 for T in t_list)]
+        expected = tuple(
+            ("euler-consistency", (T.dims, F.dims))
+            for T, F in itertools.product(t_list, f_list)
+            if T.dims[1] == F.dims[0] or -ext1(T, F, a2) != euler_pairing(T.dims, F.dims, a2)
+        )
+        rep = tilt_heart_check(lambda E: E.dims[0] == 0, a2, (2, 2))
+        assert (rep.ok, rep.failures) == (False, expected)
+        assert len(expected) > 1
 
 
 def _reference_slicing_distance(zc1, zc2, Q, max_dims):
@@ -936,9 +1040,9 @@ class TestPrinciples:
         assert rep.ok
         assert len({id(E) for E in endo_calls}) == len(endo_calls) > 0
 
-    def test_one_destabilizer_scan_per_profile(self, monkeypatch):
-        # reps with one class profile share one verdict, and the split
-        # check of an unstable rep reuses its verdict's scan
+    def test_one_destabilizer_scan_per_class(self, monkeypatch):
+        # isomorphic reps share one verdict, and the split check of an
+        # unstable class reuses its verdict's scan
         Q, zc = load_quiver_config(CONFIGS / "kronecker.json")
         scans = []
         class_verdict = heart._class_verdict
@@ -950,9 +1054,10 @@ class TestPrinciples:
         monkeypatch.setattr(heart, "_class_verdict", counting)
         rep = hom_principles_check(zc, Q, (2, 2))
         reps = list(enumerate_reps(Q, (2, 2)))
-        profiles = {_profile_of(E, Q) for E in reps}
+        firsts = [reps[members[0]] for members in iso_classes(reps, Q)]
         assert rep.ok
-        assert len(scans) == len(set(scans)) == len(profiles) == 18
+        assert scans == [_profile_of(E, Q) for E in firsts]
+        assert len(scans) == 34 and len(set(scans)) == 18
         assert len(reps) == 296
         assert sum(1 for E in reps if not is_semistable(E, zc, Q).is_semistable()) > 0
 
@@ -1027,27 +1132,28 @@ def _lattice_status(lat, phase):
 
 
 class TestClassProfiles:
-    """Verdicts and HN extremes are decided once per class profile; the
-    class route agrees with the lattice, rep by rep."""
+    """Verdicts and HN extremes are decided once per isomorphism class,
+    from its class profile; the class route agrees with the lattice, rep
+    by rep."""
 
     @pytest.mark.parametrize("Q, bound, charges", _profile_cases())
     def test_class_route_matches_lattice_route(self, Q, bound, charges, monkeypatch):
         monkeypatch.setattr(heart, "_SLOT", threading.local())
         cat = heart._catalog(Q, bound)
-        profiles, pids = cat.profiles
-        assert [profiles[pid] for pid in pids] == [_profile_of(E, Q) for E in cat.reps]
-        assert len(profiles) < len(cat.reps)
+        assert [cat.profiles[c] for c in cat.of] == [_profile_of(E, Q) for E in cat.reps]
+        assert len(cat.profiles) < len(cat.reps)
         seen = set()  # (status, more than two HN factors)
         for zc in charges:
             phase = functools.lru_cache(maxsize=None)(zc.phase)
-            ends = [heart._class_verdict(profile, zc)[2:] for profile in profiles]
-            for (i, status, top, first), pid in zip(cat.judged(zc), pids):
-                E = cat.reps[i]
-                assert status == _lattice_status(cat.lattice(i), phase)
+            ends = [heart._class_verdict(profile, zc)[2:] for profile in cat.profiles]
+            judged = cat.judged(zc)
+            for E, c in zip(cat.reps, cat.of):
+                status, top, first = judged[c][1:]
+                assert status == _lattice_status(SubobjectLattice(E, Q), phase)
                 assert PhaseValue(top, zc.rot) == phase(E.dims)
                 hn = hn_filtration(E, zc, Q)
-                assert first == ends[pid][0] == hn.factors[0][0]
-                assert ends[pid][1] == hn.factors[-1][0]
+                assert first == ends[c][0] == hn.factors[0][0]
+                assert ends[c][1] == hn.factors[-1][0]
                 seen.add((status, len(hn.factors) > 2))
         assert seen == {("stable", False), ("semistable", False), ("unstable", False),
                         ("unstable", True)}
