@@ -192,75 +192,6 @@ def symmetric_signature(gram) -> tuple[int, int]:
     return pos, neg
 
 
-def smith_normal_form(mat: Sequence[Sequence[int]]):
-    """Smith normal form over Z: returns (U, D, V) with U*mat*V = D,
-    U, V unimodular, D diagonal with d1 | d2 | ... >= 0."""
-    a = [list(map(int, row)) for row in mat]
-    n = len(a)
-    m = len(a[0]) if a else 0
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    v = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def row_op(i, j, c):  # row_i -= c * row_j
-        a[i] = [x - c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - c * y for x, y in zip(u[i], u[j])]
-
-    def col_op(j, k, c):  # col_j -= c * col_k
-        for r in range(n):
-            a[r][j] -= c * a[r][k]
-        for r in range(m):
-            v[r][j] -= c * v[r][k]
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for r in range(n):
-                a[r][i], a[r][j] = a[r][j], a[r][i]
-            for r in range(m):
-                v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    for t in range(min(n, m)):
-        while True:
-            piv = None
-            for i in range(t, n):
-                for j in range(t, m):
-                    if a[i][j] != 0 and (
-                        piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])
-                    ):
-                        piv = (i, j)
-            if piv is None:
-                break
-            swap_rows(t, piv[0])
-            swap_cols(t, piv[1])
-            dirty = False
-            for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    row_op(i, t, a[i][t] // a[t][t])
-                    dirty = dirty or a[i][t] != 0
-            for j in range(t + 1, m):
-                if a[t][j] != 0:
-                    col_op(j, t, a[t][j] // a[t][t])
-                    dirty = dirty or a[t][j] != 0
-            if dirty:
-                continue
-            bad = None
-            for i in range(t + 1, n):
-                if any(a[i][j] % a[t][t] != 0 for j in range(t + 1, m)):
-                    bad = i
-                    break
-            if bad is None:
-                break
-            row_op(t, bad, -1)  # pull the offending row up and re-reduce
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-    return u, a, v
-
-
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -700,8 +631,9 @@ def reflection_matrix(delta: MukaiVector, lat: NSLattice) -> list[list]:
 
 
 def is_mukai_isometry(images: Sequence[MukaiVector], lat: NSLattice) -> bool:
-    """True iff the basis-image list defines a pairing-preserving map of
-    determinant +-1."""
+    """True iff the basis-image list defines a pairing-preserving map,
+    A^T G A = G.  Its determinant is then +-1 with no further check:
+    det(A)^2 det(G) = det(G), and G is nondegenerate."""
     n = lat.mukai_rank
     if len(images) != n:
         raise InputError("need one image per basis vector")
@@ -712,7 +644,7 @@ def is_mukai_isometry(images: Sequence[MukaiVector], lat: NSLattice) -> bool:
                 basis[i], basis[j], lat
             ):
                 return False
-    return abs(mat_det(isometry_matrix(images, lat))) == 1
+    return True
 
 
 def isometry_matrix(images: Sequence[MukaiVector], lat: NSLattice) -> list[list]:
@@ -729,52 +661,17 @@ def apply_isometry(mat, v: MukaiVector) -> MukaiVector:
     return MukaiVector.from_coords(mat_vec(mat, v.coords()))
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
-    """N*/N as invariant factors plus generator representatives in N x Q."""
-
-    invariants: tuple  # the nontrivial d_i
-    generators: tuple  # rational coordinate vectors representing generators
-
-
-def discriminant_group(lat: NSLattice) -> DiscriminantGroup:
-    """N*/N via the Smith normal form of the Mukai Gram matrix G.
-
-    Identifying N* with G^{-1} Z^n, the quotient is coker(G); with
-    U G V = D the generator of the Z/d_i factor pulls back to
-    G^{-1} U^{-1} e_i.
-    """
-    g = lat.mukai_gram()
-    u, d, _ = smith_normal_form(g)
-    n = len(g)
-    ginv = mat_inv(g)
-    uinv = mat_inv([[Fraction(x) for x in row] for row in u])
-    invariants = []
-    gens = []
-    for i in range(n):
-        di = d[i][i]
-        if di not in (0, 1):
-            invariants.append(di)
-            y = tuple(uinv[r][i] for r in range(n))
-            gens.append(tuple(mat_vec(ginv, y)))
-    return DiscriminantGroup(tuple(invariants), tuple(gens))
-
-
 def gamma_membership(images: Sequence[MukaiVector], lat: NSLattice) -> bool:
-    """True iff the isometry acts as the identity on N*/N.
+    """True iff the isometry A acts as the identity on N*/N.
 
-    Checked on the Smith-normal-form generators: the class of g is fixed
-    iff (A - I) g is integral.  (Equivalently: (A - I) G^{-1} is an
-    integer matrix.)
+    N* is spanned by the columns of G^{-1}, so A fixes every class of
+    N*/N iff (A - I) G^{-1} is an integer matrix.  Since G is integral,
+    that forces A to be integral: an isometry with rational entries is
+    not in Gamma.
     """
     if not is_mukai_isometry(images, lat):
         raise InputError("gamma_membership expects a Mukai isometry")
     mat = isometry_matrix(images, lat)
-    for gen in discriminant_group(lat).generators:
-        moved = mat_vec(mat, gen)
-        if any(
-            (as_fraction(a) - as_fraction(b)).denominator != 1
-            for a, b in zip(moved, gen)
-        ):
-            return False
-    return True
+    shift = [[x - int(i == j) for j, x in enumerate(row)] for i, row in enumerate(mat)]
+    moved = mat_mul(shift, mat_inv(lat.mukai_gram()))
+    return all(x.denominator == 1 for row in moved for x in row)

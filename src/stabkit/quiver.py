@@ -480,8 +480,10 @@ def _hom_combinations(basis: Sequence[tuple], p: int) -> Iterator[tuple]:
 
 def ext1_dim(E: QuiverRep, F: QuiverRep, Q: Quiver) -> int:
     """dim Ext^1(E, F), from the two-term resolution: the cokernel of
-    (phi_v) |-> (F_a phi_src - phi_tgt E_a).  Independent of the Euler
-    bookkeeping, which it is tested against."""
+    (phi_v) |-> (F_a phi_src - phi_tgt E_a), rows minus rank.  hom_space
+    is columns minus the same rank, so hom - ext^1 = <dim E, dim F> holds
+    whatever the rank is: the Euler form checks the system's shape, not
+    its elimination."""
     rows, offsets = _commuting_square_rows(E, F, Q)
     return len(rows) - len(_echelon(rows, offsets[-1], Q.p))
 

@@ -10,7 +10,6 @@ from stabkit.lattice import (
     InputError,
     MukaiVector,
     NSLattice,
-    discriminant_group,
     enumerate_delta,
     exp_class,
     exp_action_matrix,
@@ -27,7 +26,6 @@ from stabkit.lattice import (
     positive_plane_check,
     reflection,
     reflection_matrix,
-    smith_normal_form,
     symmetric_signature,
     tensor_line_bundle,
     basis_vectors,
@@ -64,6 +62,33 @@ def brute_force_delta(lat, bounds):
                 if mukai_square(v, lat) == -2:
                     found.append(v)
     return sorted(found, key=lambda v: v.coords())
+
+
+def discriminant_oracle(lat, order):
+    """Brute-force Gamma test, sharing no code with gamma_membership.
+
+    With order = |det G|, every class of N*/N has exactly one
+    representative x / order with x in {0, ..., order - 1}^n and G x = 0
+    mod order.  An integral A fixes that class iff (A - I) x = 0 mod
+    order."""
+    g = lat.mukai_gram()
+    n = len(g)
+    reps = [
+        x for x in itertools.product(range(order), repeat=n)
+        if all(sum(a * b for a, b in zip(row, x)) % order == 0 for row in g)
+    ]
+    assert len(reps) == order
+
+    def fixes(mat):
+        a = [[int(x) for x in row] for row in mat]
+        assert a == mat
+        return all(
+            (sum(a[i][j] * x[j] for j in range(n)) - x[i]) % order == 0
+            for x in reps
+            for i in range(n)
+        )
+
+    return fixes
 
 
 def random_vec(lat, rng, bound=5):
@@ -333,29 +358,6 @@ class TestIsometry:
 
 
 class TestSmithAndDiscriminant:
-    def test_snf_factorization(self):
-        mats = [
-            [[2, 0], [0, -2]],
-            [[0, 1], [1, 0]],
-            [[6, 4], [4, 2]],
-            [[2, 1, 0], [1, -4, 2], [0, 2, 8]],
-        ]
-        for m in mats:
-            u, d, v = smith_normal_form(m)
-            assert mat_mul(mat_mul(u, m), v) == d
-            for i in range(len(d)):
-                for j in range(len(d[0])):
-                    if i != j:
-                        assert d[i][j] == 0
-            diag = [d[i][i] for i in range(len(d))]
-            for a, b in zip(diag, diag[1:]):
-                if a != 0:
-                    assert b % a == 0
-
-    def test_discriminant_of_h2(self, lat1):
-        disc = discriminant_group(lat1)
-        assert disc.invariants == (2,)
-
     def test_gamma_identity(self, lat1):
         assert gamma_membership(basis_vectors(lat1), lat1)
 
@@ -368,32 +370,36 @@ class TestSmithAndDiscriminant:
         images = matrix_to_images(reflection_matrix(d, lat1), lat1)
         assert gamma_membership(images, lat1)
 
-    def test_gamma_oracle_inverse_gram(self, lat1, lat2):
-        # independent route: trivial discriminant action iff (A - I) G^{-1}
-        # is an integer matrix
-        from stabkit.lattice import isometry_matrix, mat_inv
-
-        for lat in (lat1, lat2):
-            cases = [
-                basis_vectors(lat),
-                [-e for e in basis_vectors(lat)],
-                matrix_to_images(
-                    reflection_matrix(MukaiVector(1, (0,) * lat.rank, 1), lat), lat
-                ),
-                matrix_to_images(exp_action_matrix((1,) + (0,) * (lat.rank - 1), lat), lat),
-            ]
-            ginv = mat_inv(lat.mukai_gram())
+    def test_gamma_matches_brute_force(self, lat1, lat2, lat3):
+        # |det G| per lattice; the hyperbolic summand of N is unimodular
+        cases = [(lat1, 2), (lat2, 4), (lat3, 9), (NSLattice([[4]], [1]), 4),
+                 (NSLattice([[6]], [1]), 6)]
+        rng = random.Random(19)
+        rejected = set()
+        for lat, order in cases:
+            fixes = discriminant_oracle(lat, order)
             n = lat.mukai_rank
-            for images in cases:
-                a = isometry_matrix(images, lat)
-                diff = [[a[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-                prod = mat_mul(diff, ginv)
-                oracle = all(
-                    Fraction(prod[i][j]).denominator == 1
-                    for i in range(n)
-                    for j in range(n)
-                )
-                assert gamma_membership(images, lat) == oracle
+            ident = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+            mats = [ident, [[-x for x in row] for row in ident]]
+            mats += [reflection_matrix(d, lat)
+                     for d in rng.sample(brute_force_delta(lat, DeltaBox.cube(2)), 2)]
+            mats += [exp_action_matrix([rng.randint(-2, 2) for _ in range(lat.rank)], lat)
+                     for _ in range(2)]
+            mats += [mat_mul(a, b) for a, b in itertools.product(mats, repeat=2)]
+            for a in mats:
+                verdict = gamma_membership(matrix_to_images(a, lat), lat)
+                assert verdict == fixes(a)
+                if not verdict:
+                    rejected.add(lat.gram)
+        assert len(rejected) >= 3
+
+    def test_gamma_rejects_a_rational_isometry(self, lat1):
+        # (1/2, 0, 2) has square -2, so its reflection preserves the
+        # pairing, but it has fractional entries and lies outside O(N)
+        images = matrix_to_images(reflection_matrix(MukaiVector(F(1, 2), (0,), 2), lat1), lat1)
+        assert is_mukai_isometry(images, lat1)
+        assert any(F(x).denominator != 1 for v in images for x in v.coords())
+        assert not gamma_membership(images, lat1)
 
     def test_gamma_nontrivial_action(self):
         # NS = Z h with h^2 = 4: swapping nothing but negating h acts
