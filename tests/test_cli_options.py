@@ -1,10 +1,13 @@
 """The option table of every CLI subcommand, pinned.
 
-For each subcommand the parser's options are recorded as
-(option strings, required, default, choices, type, action) in
-``cli_options.json``, sorted by option strings; the test fails if an
-option is added, dropped or changed.  Regenerate that file (only when
-the interface is meant to change) with
+``cli_options.json`` records the help string of each group and, for each
+subcommand, its help string (no "help" key when the command is listed
+without one) and its options as (option strings, required, default,
+choices, type, action, help), sorted by option strings; the test fails
+if an option or a help string is added, dropped or changed.  Help
+strings are recorded rather than ``format_help()`` text, whose layout
+depends on the terminal width and on the Python version.  Regenerate
+that file (only when the interface is meant to change) with
 
     PYTHONPATH=src python tests/test_cli_options.py
 """
@@ -18,19 +21,23 @@ TABLE = Path(__file__).resolve().parent / "cli_options.json"
 
 
 def _subparsers(parser):
+    """{name: parser} of the subcommands of parser, and {name: help} of
+    those added with a help string."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            return action.choices
-    return {}
+            return action.choices, {a.dest: a.help for a in action._choices_actions}
+    return {}, {}
 
 
 def option_table() -> dict:
-    """'group command' -> list of option records, sorted by option strings."""
+    """{"groups": group -> help, "commands": 'group command' -> record}."""
     from stabkit.cli import build_parser
 
-    table = {}
-    for group, gp in _subparsers(build_parser()).items():
-        for command, cp in _subparsers(gp).items():
+    commands = {}
+    group_parsers, groups = _subparsers(build_parser())
+    for group, gp in group_parsers.items():
+        command_parsers, helps = _subparsers(gp)
+        for command, cp in command_parsers.items():
             records = [
                 {
                     "options": list(a.option_strings),
@@ -39,12 +46,16 @@ def option_table() -> dict:
                     "choices": list(a.choices) if a.choices else None,
                     "type": a.type.__name__ if a.type else None,
                     "action": type(a).__name__,
+                    "help": a.help,
                 }
                 for a in cp._actions
                 if not isinstance(a, argparse._HelpAction)
             ]
-            table[f"{group} {command}"] = sorted(records, key=lambda r: r["options"])
-    return table
+            record = {"options": sorted(records, key=lambda r: r["options"])}
+            if command in helps:
+                record["help"] = helps[command]
+            commands[f"{group} {command}"] = record
+    return {"groups": groups, "commands": commands}
 
 
 def test_options_match_record():
@@ -52,5 +63,6 @@ def test_options_match_record():
 
 
 if __name__ == "__main__":
-    TABLE.write_text(json.dumps(option_table(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote the options of {len(option_table())} commands to {TABLE}", file=sys.stderr)
+    table = option_table()
+    TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote the options of {len(table['commands'])} commands to {TABLE}", file=sys.stderr)
