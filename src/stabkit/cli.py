@@ -68,12 +68,13 @@ from . import report
 def default_bound() -> int:
     """STABKIT_BOUND if set, else 4."""
     env = os.environ.get("STABKIT_BOUND")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"STABKIT_BOUND must be an integer, got {env!r}")
-    return 4
+    try:
+        bound = int(env) if env else 4
+    except ValueError:
+        raise InputError(f"STABKIT_BOUND must be an integer, got {env!r}")
+    if bound < 0:
+        raise InputError(f"STABKIT_BOUND must be nonnegative, got {env!r}")
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +201,17 @@ def parse_rep(spec: str, Q: Quiver) -> QuiverRep:
     for part in spec.split(";"):
         if not part.strip():
             continue
-        key, sep, val = part.partition("=")
+        key, sep, val = (x.strip() for x in part.partition("="))
         if not sep:
             raise InputError(f"--rep expects dims=[...];f=[...], got {spec!r}")
-        fields[key.strip()] = ast.literal_eval(val.strip())
+        if key not in ("dims", "f"):
+            raise InputError(f"--rep has no key {key!r}: use dims=[...];f=[...]")
+        if key in fields:
+            raise InputError(f"--rep names {key} twice")
+        try:
+            fields[key] = ast.literal_eval(val)
+        except (ValueError, TypeError, SyntaxError):
+            raise InputError(f"--rep {key} must be a Python literal, got {val!r}") from None
     if "dims" not in fields:
         raise InputError("rep spec needs dims=[...]")
     dims = fields["dims"]
@@ -294,9 +302,15 @@ def _write(path, content: str):
         raise
 
 
+def _nonnegative(name: str, value: int) -> int:
+    if value < 0:
+        raise InputError(f"{name} must be nonnegative, got {value}")
+    return value
+
+
 def _box_bound(args) -> int:
     """--bound of a k3 command, else STABKIT_BOUND, else the default."""
-    return args.bound if args.bound is not None else default_bound()
+    return default_bound() if args.bound is None else _nonnegative("--bound", args.bound)
 
 
 def _charged_quiver(args):
@@ -327,6 +341,7 @@ def cmd_k3_scan(args) -> int:
     b_parts = _option("--B", parse_path_expr, args.B, lat.rank)
     w_parts = _option("--omega", parse_path_expr, args.omega, lat.rank)
     t0, t1 = _option("--t", parse_range, args.t)
+    k_bound = _nonnegative("--k-bound", args.k_bound)
     bound = _box_bound(args)
     box = DeltaBox.cube(bound)
     note = f"stabkit k3 scan B=({args.B}) omega=({args.omega}) t={args.t} bound={bound}"
@@ -338,7 +353,7 @@ def cmd_k3_scan(args) -> int:
         omega_of_t = AffinePath(w_parts[None], w_parts["t"])
         if args.svg:
             svg = report.chamber_plot_svg(
-                lat, B_of_u, omega_of_t, u0, u1, t0, t1, box, args.k_bound
+                lat, B_of_u, omega_of_t, u0, u1, t0, t1, box, k_bound
             )
             _write(args.svg, svg)
         else:
@@ -348,7 +363,7 @@ def cmd_k3_scan(args) -> int:
         raise InputError("u appears in the paths but no --u range was given")
     B_path = AffinePath(b_parts[None], b_parts["t"])
     omega_path = AffinePath(w_parts[None], w_parts["t"])
-    res = wall_scan(lat, B_path, omega_path, t0, t1, box, args.k_bound)
+    res = wall_scan(lat, B_path, omega_path, t0, t1, box, k_bound)
     _write(args.output, report.walls_csv(res, lat.rank, note))
     if args.json:
         _write(args.json, report.walls_json(res, note))
@@ -444,16 +459,11 @@ def cmd_quiver_check(args) -> int:
         checked, failures = slicing_hom_vanishing(zc, Q, bound)
         data = {"suite": "slicing", "ok": not failures, "checked": checked,
                 "failures": [list(map(str, f)) for f in failures]}
-    elif args.suite == "local-finiteness":
+    else:  # local-finiteness
         eta = _option("--eta", parse_rational, args.eta) if args.eta else Fraction(1, 2)
         rep = local_finiteness_probe(zc, Q, eta, bound)
-        data = {
-            "suite": "local-finiteness",
-            "chain_bound": rep.chain_bound,
-            "slices": [list(s) for s in rep.slices],
-        }
-    else:
-        raise InputError(f"unknown suite {args.suite!r}")
+        data = {"suite": "local-finiteness", "chain_bound": rep.chain_bound,
+                "slices": [list(s) for s in rep.slices]}
     out = json.dumps(data, indent=2, sort_keys=True) + "\n"
     _write(args.json, out)
     return 0 if data.get("ok", True) else 1
@@ -550,26 +560,35 @@ def cmd_curve_order_check(args) -> int:
 # group commands
 
 
-def _element_from(arg: str) -> GLTildeElement:
+def _element_from(name: str, arg: str) -> GLTildeElement:
+    """The group element of option name, a JSON literal or a file."""
     if arg.strip().startswith("{"):
-        return GLTildeElement.from_json_dict(json.loads(arg))
-    with open(arg) as fh:
-        return GLTildeElement.from_json_dict(json.load(fh))
+        text = arg
+    else:
+        with open(arg) as fh:
+            text = fh.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{name}: {exc}") from None
+    return GLTildeElement.from_json_dict(data)
 
 
 def cmd_group_compose(args) -> int:
-    g = _element_from(args.g)
-    h = _element_from(args.h)
+    g = _element_from("--g", args.g)
+    h = _element_from("--h", args.h)
     print(json.dumps(compose(g, h).to_json_dict(), sort_keys=True))
     return 0
 
 
 def cmd_group_act(args) -> int:
-    g = _element_from(args.g)
+    g = _element_from("--g", args.g)
     if args.curve_m:
         out = act_on_charge(g, CurveCharge(_option("--curve-m", parse_matrix2, args.curve_m)))
         print("m =", [[frac_str(x) for x in row] for row in out.m])
         return 0
+    if None in (args.lattice, args.re, args.im):
+        raise InputError("group act needs --curve-m, or --lattice with --re and --im")
     lat = load_lattice(args.lattice)
     om = _mukai_charge(args, lat)
     out = act_on_charge(g, om)
@@ -580,7 +599,7 @@ def cmd_group_act(args) -> int:
 def cmd_group_commute(args) -> int:
     lat = load_lattice(args.lattice)
     images = _option("--iso", parse_iso, args.iso, lat)
-    g = _element_from(args.g)
+    g = _element_from("--g", args.g)
     om = _mukai_charge(args, lat)
     ok = commute_check(images, g, om, lat)
     print("commute" if ok else "do not commute")
@@ -591,121 +610,84 @@ def cmd_group_commute(args) -> int:
 # wiring
 
 
+_REQUIRED = {"required": True}
+_PATH = [("--lattice", _REQUIRED), ("--B", _REQUIRED), ("--omega", _REQUIRED)]
+_POINT_T = ("--t", {"help": "point on the path (default 0)"})
+_K3_BOUND = ("--bound", {"type": int})
+_CONFIG = ("--config", _REQUIRED)
+
+# group -> (help, {command: (function, help or None, [(flags, add_argument keywords)])})
+_COMMANDS = {
+    "k3": ("Mukai-lattice stability checks and scans", {
+        "scan": (cmd_k3_scan, "wall scan along a (B, omega) path", [
+            *_PATH, ("--t", {**_REQUIRED, "help": "range a/b..c/d"}), _K3_BOUND,
+            ("--u", {"help": "second parameter range (2-parameter plot)"}),
+            ("--k-bound", {"type": int, "default": 8}),
+            ("-o --output", {"default": "-"}), ("--json", {}), ("--svg", {}),
+        ]),
+        "guard": (cmd_k3_guard, "spherical-class positivity guard",
+                  [*_PATH, _POINT_T, _K3_BOUND]),
+        "heart-check": (cmd_k3_heart_check, "positivity sweep over a class box",
+                        [*_PATH, _POINT_T, _K3_BOUND, ("--json", {})]),
+        "normalize": (cmd_k3_normalize, "bring a charge vector to exp form", [
+            ("--lattice", _REQUIRED), ("--re", {**_REQUIRED, "help": "r,l1,..,s"}),
+            ("--im", _REQUIRED), ("--slope-form", {"action": "store_true"}),
+        ]),
+    }),
+    "quiver": ("finite-length heart computations", {
+        "hn": (cmd_quiver_hn, "Harder-Narasimhan filtration of a rep",
+               [_CONFIG, ("--rep", {**_REQUIRED, "help": "dims=[..];f=[[..]]"})]),
+        "jh": (cmd_quiver_jh, "stable factors of a semistable rep",
+               [_CONFIG, ("--rep", _REQUIRED)]),
+        "check": (cmd_quiver_check, "exhaustive property sweeps", [
+            _CONFIG, ("--suite", {**_REQUIRED, "choices": ["gp", "slicing", "local-finiteness"]}),
+            ("--bound", {"help": "per-vertex dims, e.g. 2,2"}), ("--eta", {}), ("--json", {}),
+        ]),
+        "deform": (cmd_quiver_deform, "norm/distance deformation check", [
+            _CONFIG, ("--eps", _REQUIRED), ("--bound", {}), ("--rotate", {}),
+            ("--perturb", {"help": "'i:re,im;j:re,im'"}),
+        ]),
+        "tilt": (cmd_quiver_tilt, "torsion pair and tilt verification", [
+            _CONFIG, ("--torsion", {**_REQUIRED, "help": "all | none | d<i>=0"}), ("--bound", {}),
+        ]),
+    }),
+    "curve": ("rank/degree lattice stability", {
+        "decompose": (cmd_curve_decompose, "normalize a charge to -deg + i rk",
+                      [("--m", {**_REQUIRED, "help": "rows 'a,b;c,d'"})]),
+        "polygon": (cmd_curve_polygon, "HN polygon of class list", [
+            ("--parts", {**_REQUIRED, "help": "'r,d r,d ...'"}), ("--m", {}),
+            ("-o --output", {"default": "-"}),
+        ]),
+        "order-check": (cmd_curve_order_check, "phase window check for line classes",
+                        [("--m", {}), ("--d", {**_REQUIRED, "help": "range like -10..10"})]),
+    }),
+    "group": ("universal-cover and isometry actions", {
+        "compose": (cmd_group_compose, None,
+                    [("--g", {**_REQUIRED, "help": "JSON literal or file"}), ("--h", _REQUIRED)]),
+        "act": (cmd_group_act, None, [
+            ("--g", _REQUIRED), ("--lattice", {}), ("--re", {}), ("--im", {}), ("--curve-m", {}),
+        ]),
+        "commute": (cmd_group_commute, None, [
+            ("--lattice", _REQUIRED), ("--iso", _REQUIRED), ("--g", _REQUIRED),
+            ("--re", _REQUIRED), ("--im", _REQUIRED),
+        ]),
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of _COMMANDS; a command listed without help gets none,
+    so that it shows in its group's usage only."""
     ap = argparse.ArgumentParser(prog="stabkit", description=__doc__)
-    sub = ap.add_subparsers(dest="group", required=True)
-
-    k3 = sub.add_parser("k3", help="Mukai-lattice stability checks and scans")
-    k3s = k3.add_subparsers(dest="command", required=True)
-
-    def k3_path_command(name, help, func, t_range=False):
-        """A k3 subcommand on a (B, omega) path, at a point --t or over a
-        range --t; --bound sizes the class box."""
-        cmd = k3s.add_parser(name, help=help)
-        for a in ("--lattice", "--B", "--omega"):
-            cmd.add_argument(a, required=True)
-        t_help = "range a/b..c/d" if t_range else "point on the path (default 0)"
-        cmd.add_argument("--t", required=t_range, help=t_help)
-        cmd.add_argument("--bound", type=int)
-        cmd.set_defaults(func=func)
-        return cmd
-
-    scan = k3_path_command(
-        "scan", "wall scan along a (B, omega) path", cmd_k3_scan, t_range=True
-    )
-    scan.add_argument("--u", help="second parameter range (2-parameter plot)")
-    scan.add_argument("--k-bound", type=int, default=8)
-    scan.add_argument("-o", "--output", default="-")
-    scan.add_argument("--json")
-    scan.add_argument("--svg")
-
-    k3_path_command("guard", "spherical-class positivity guard", cmd_k3_guard)
-    hc = k3_path_command(
-        "heart-check", "positivity sweep over a class box", cmd_k3_heart_check
-    )
-    hc.add_argument("--json")
-
-    nz = k3s.add_parser("normalize", help="bring a charge vector to exp form")
-    nz.add_argument("--lattice", required=True)
-    nz.add_argument("--re", required=True, help="r,l1,..,s")
-    nz.add_argument("--im", required=True)
-    nz.add_argument("--slope-form", action="store_true")
-    nz.set_defaults(func=cmd_k3_normalize)
-
-    qv = sub.add_parser("quiver", help="finite-length heart computations")
-    qvs = qv.add_subparsers(dest="command", required=True)
-
-    def quiver_command(name, help, func):
-        """A quiver subcommand on the quiver and charge of --config."""
-        cmd = qvs.add_parser(name, help=help)
-        cmd.add_argument("--config", required=True)
-        cmd.set_defaults(func=func)
-        return cmd
-
-    hn = quiver_command("hn", "Harder-Narasimhan filtration of a rep", cmd_quiver_hn)
-    hn.add_argument("--rep", required=True, help='dims=[..];f=[[..]]')
-
-    jh = quiver_command("jh", "stable factors of a semistable rep", cmd_quiver_jh)
-    jh.add_argument("--rep", required=True)
-
-    check = quiver_command("check", "exhaustive property sweeps", cmd_quiver_check)
-    check.add_argument("--suite", required=True, choices=["gp", "slicing", "local-finiteness"])
-    check.add_argument("--bound", help="per-vertex dims, e.g. 2,2")
-    check.add_argument("--eta")
-    check.add_argument("--json")
-
-    deform = quiver_command("deform", "norm/distance deformation check", cmd_quiver_deform)
-    deform.add_argument("--eps", required=True)
-    deform.add_argument("--bound")
-    deform.add_argument("--rotate")
-    deform.add_argument("--perturb", help="'i:re,im;j:re,im'")
-
-    tilt = quiver_command("tilt", "torsion pair and tilt verification", cmd_quiver_tilt)
-    tilt.add_argument("--torsion", required=True, help="all | none | d<i>=0")
-    tilt.add_argument("--bound")
-
-    cv = sub.add_parser("curve", help="rank/degree lattice stability")
-    cvs = cv.add_subparsers(dest="command", required=True)
-
-    dec = cvs.add_parser("decompose", help="normalize a charge to -deg + i rk")
-    dec.add_argument("--m", required=True, help="rows 'a,b;c,d'")
-    dec.set_defaults(func=cmd_curve_decompose)
-
-    poly = cvs.add_parser("polygon", help="HN polygon of class list")
-    poly.add_argument("--parts", required=True, help="'r,d r,d ...'")
-    poly.add_argument("--m")
-    poly.add_argument("-o", "--output", default="-")
-    poly.set_defaults(func=cmd_curve_polygon)
-
-    oc = cvs.add_parser("order-check", help="phase window check for line classes")
-    oc.add_argument("--m")
-    oc.add_argument("--d", required=True, help="range like -10..10")
-    oc.set_defaults(func=cmd_curve_order_check)
-
-    gp = sub.add_parser("group", help="universal-cover and isometry actions")
-    gps = gp.add_subparsers(dest="command", required=True)
-
-    comp = gps.add_parser("compose")
-    comp.add_argument("--g", required=True, help="JSON literal or file")
-    comp.add_argument("--h", required=True)
-    comp.set_defaults(func=cmd_group_compose)
-
-    act = gps.add_parser("act")
-    act.add_argument("--g", required=True)
-    act.add_argument("--lattice")
-    act.add_argument("--re")
-    act.add_argument("--im")
-    act.add_argument("--curve-m")
-    act.set_defaults(func=cmd_group_act)
-
-    comm = gps.add_parser("commute")
-    comm.add_argument("--lattice", required=True)
-    comm.add_argument("--iso", required=True)
-    comm.add_argument("--g", required=True)
-    comm.add_argument("--re", required=True)
-    comm.add_argument("--im", required=True)
-    comm.set_defaults(func=cmd_group_commute)
-
+    groups = ap.add_subparsers(dest="group", required=True)
+    for group, (group_help, commands) in _COMMANDS.items():
+        sub = groups.add_parser(group, help=group_help)
+        subs = sub.add_subparsers(dest="command", required=True)
+        for name, (func, help, options) in commands.items():
+            cmd = subs.add_parser(name, **({"help": help} if help else {}))
+            for flags, kwargs in options:
+                cmd.add_argument(*flags.split(), **kwargs)
+            cmd.set_defaults(func=func)
     return ap
 
 
@@ -714,10 +696,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        InputError, ResourceBound, ExactnessError,
-        OSError, json.JSONDecodeError, ValueError, SyntaxError,
-    ) as exc:
+    except (InputError, ResourceBound, ExactnessError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # InvariantError and every other defect

@@ -443,14 +443,94 @@ class TestMalformedInput:
             (["hn", "--rep", "dims=[1,1];f=5"],
              "--rep f must be a list of integer matrices, got 5"),
             (["hn", "--rep", "dims=[-1,1];f=[[]]"], "--rep dims must be nonnegative, got [-1, 1]"),
+            (["hn", "--rep", "dims=[1,1];f=[[x]]"],
+             "--rep f must be a Python literal, got '[[x]]'"),
+            (["hn", "--rep", "dims=x"], "--rep dims must be a Python literal, got 'x'"),
+            (["hn", "--rep", "dims=[1,1];f=[[1]]extra"],
+             "--rep f must be a Python literal, got '[[1]]extra'"),
+            (["hn", "--rep", "dims=[1,1];f={[1]: 2}"],
+             "--rep f must be a Python literal, got '{[1]: 2}'"),
+            (["hn", "--rep", "dims=[1,1];f=[[1]];f=[[0]]"], "--rep names f twice"),
+            (["hn", "--rep", "dims=[1,1];g=[[1]]"],
+             "--rep has no key 'g': use dims=[...];f=[...]"),
         ],
         ids=["perturb-no-comma", "perturb-vertex", "bound", "bound-negative-check",
              "bound-negative-tilt", "rep", "rep-dims",
-             "rep-dims-entry", "rep-f", "rep-dims-negative"],
+             "rep-dims-entry", "rep-f", "rep-dims-negative", "rep-f-name", "rep-dims-name",
+             "rep-f-syntax", "rep-f-unhashable", "rep-repeated-key", "rep-unknown-key"],
     )
     def test_option_values(self, capsys, argv, message):
         assert main(["quiver", argv[0], "--config", A2_CONFIG, *argv[1:]]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--g", '{"rot": "1/8"}'],
+            ["--g", '{"rot": "1/8"}', "--lattice", K3_CONFIG, "--re", "1,0,-1"],
+            ["--g", '{"rot": "1/8"}', "--lattice", K3_CONFIG, "--im", "0,1,0"],
+            ["--g", '{"rot": "1/8"}', "--re", "1,0,-1", "--im", "0,1,0"],
+        ],
+        ids=["nothing", "no-im", "no-re", "no-lattice"],
+    )
+    def test_group_act_without_a_charge(self, capsys, argv):
+        assert main(["group", "act", *argv]) == 2
+        assert capsys.readouterr().err == (
+            "error: group act needs --curve-m, or --lattice with --re and --im\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--g", '{"rot": 1/8}', "--h", "{}"],
+             "--g: Expecting ',' delimiter: line 1 column 10 (char 9)"),
+            (["--g", '{"rot": "1/8"}', "--h", '{"rot": 1/8}'],
+             "--h: Expecting ',' delimiter: line 1 column 10 (char 9)"),
+        ],
+        ids=["g", "h"],
+    )
+    def test_group_element_json_syntax_names_the_option(self, capsys, argv, message):
+        assert main(["group", "compose", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_group_element_file_json_syntax_names_the_option(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text('{"rot": 1/8}')
+        assert main(["group", "compose", "--g", str(path), "--h", "{}"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --g: Expecting ',' delimiter: line 1 column 10 (char 9)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [
+            (["scan", "--B", "0", "--t", "1..2", "--k-bound=-1"], None,
+             "--k-bound must be nonnegative, got -1"),
+            (["scan", "--B", "u*h", "--t", "1..2", "--u", "0..1", "--svg", "c.svg",
+              "--k-bound=-1"], None, "--k-bound must be nonnegative, got -1"),
+            (["guard", "--B", "0", "--t", "2", "--bound=-1"], None,
+             "--bound must be nonnegative, got -1"),
+            (["heart-check", "--B", "0", "--t", "2", "--bound=-1"], None,
+             "--bound must be nonnegative, got -1"),
+            (["guard", "--B", "0", "--t", "2"], "-2",
+             "STABKIT_BOUND must be nonnegative, got '-2'"),
+        ],
+        ids=["k-bound-scan", "k-bound-chambers", "bound-guard", "bound-heart-check", "env"],
+    )
+    def test_negative_k3_bounds(self, tmp_path, monkeypatch, capsys, argv, env, message):
+        monkeypatch.chdir(tmp_path)
+        if env is None:
+            monkeypatch.delenv("STABKIT_BOUND", raising=False)
+        else:
+            monkeypatch.setenv("STABKIT_BOUND", env)
+        assert main(["k3", *argv, "--lattice", K3_CONFIG, "--omega", "t*h"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_k_bound_is_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["k3", "scan", "--lattice", K3_CONFIG, "--B", "0", "--omega", "t*h",
+                     "--t", "1/2..2", "--bound", "2", "--k-bound", "0"]) == 0
 
     @pytest.mark.parametrize(
         "degrees, message",
