@@ -97,6 +97,14 @@ def _option(name: str, parse, *args):
         raise InputError(f"{name}: {exc}") from None
 
 
+def _json_file(name: str, load, path):
+    """load(path) for the file of option name; a JSON syntax error names both."""
+    try:
+        return load(path)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{name}: {path}: {exc}") from None
+
+
 def parse_range(text: str) -> tuple[Fraction, Fraction]:
     if ".." in text:
         a, b = text.split("..", 1)
@@ -314,7 +322,7 @@ def _box_bound(args) -> int:
 
 
 def _charged_quiver(args):
-    Q, zc = load_quiver_config(args.config)
+    Q, zc = _json_file("--config", load_quiver_config, args.config)
     if zc is None:
         raise InputError("quiver config has no charge")
     return Q, zc
@@ -337,7 +345,7 @@ def _mukai_charge(args, lat: NSLattice) -> ComplexMukaiVector:
 
 
 def cmd_k3_scan(args) -> int:
-    lat = load_lattice(args.lattice)
+    lat = _json_file("--lattice", load_lattice, args.lattice)
     b_parts = _option("--B", parse_path_expr, args.B, lat.rank)
     w_parts = _option("--omega", parse_path_expr, args.omega, lat.rank)
     t0, t1 = _option("--t", parse_range, args.t)
@@ -349,15 +357,14 @@ def cmd_k3_scan(args) -> int:
         u0, u1 = _option("--u", parse_range, args.u)
         if any(x != 0 for x in w_parts["u"]) or any(x != 0 for x in b_parts["t"]):
             raise InputError("two-parameter plots need B affine in u and omega in t")
+        if not args.svg:
+            raise InputError("a two-parameter scan is only emitted as SVG")
+        if args.output != "-" or args.json is not None:
+            raise InputError("a two-parameter scan (--u) writes only --svg, not -o or --json")
         B_of_u = AffinePath(b_parts[None], b_parts["u"])
         omega_of_t = AffinePath(w_parts[None], w_parts["t"])
-        if args.svg:
-            svg = report.chamber_plot_svg(
-                lat, B_of_u, omega_of_t, u0, u1, t0, t1, box, k_bound
-            )
-            _write(args.svg, svg)
-        else:
-            raise InputError("a two-parameter scan is only emitted as SVG")
+        svg = report.chamber_plot_svg(lat, B_of_u, omega_of_t, u0, u1, t0, t1, box, k_bound)
+        _write(args.svg, svg)
         return 0
     if any(x != 0 for x in b_parts["u"]) or any(x != 0 for x in w_parts["u"]):
         raise InputError("u appears in the paths but no --u range was given")
@@ -382,7 +389,7 @@ def _charge_at(args, lat) -> K3CentralCharge:
 
 
 def cmd_k3_guard(args) -> int:
-    lat = load_lattice(args.lattice)
+    lat = _json_file("--lattice", load_lattice, args.lattice)
     zc = _charge_at(args, lat)
     res = spherical_guard(zc, DeltaBox.cube(_box_bound(args)))
     if res.ok:
@@ -393,7 +400,7 @@ def cmd_k3_guard(args) -> int:
 
 
 def cmd_k3_heart_check(args) -> int:
-    lat = load_lattice(args.lattice)
+    lat = _json_file("--lattice", load_lattice, args.lattice)
     zc = _charge_at(args, lat)
     try:
         rep = heart_image_check(zc, DeltaBox.cube(_box_bound(args)))
@@ -407,7 +414,7 @@ def cmd_k3_heart_check(args) -> int:
 
 
 def cmd_k3_normalize(args) -> int:
-    lat = load_lattice(args.lattice)
+    lat = _json_file("--lattice", load_lattice, args.lattice)
     om = _mukai_charge(args, lat)
     try:
         nf = normalize_to_exp_form(om, lat)
@@ -473,6 +480,8 @@ def cmd_quiver_deform(args) -> int:
     Q, zc = _charged_quiver(args)
     bound = _vertex_bound(args, Q)
     eps = _option("--eps", parse_rational, args.eps)
+    if args.rotate is not None and args.perturb is not None:
+        raise InputError("give --rotate or --perturb, not both")
     if args.rotate is not None:
         wc = zc.rotated(_option("--rotate", parse_rational, args.rotate))
     elif args.perturb is not None:
@@ -507,7 +516,7 @@ def cmd_quiver_deform(args) -> int:
 
 
 def cmd_quiver_tilt(args) -> int:
-    Q, _ = load_quiver_config(args.config)
+    Q, _ = _json_file("--config", load_quiver_config, args.config)
     bound = _vertex_bound(args, Q)
     pred = parse_torsion_predicate(args.torsion, Q.n)
     rep = tilt_heart_check(pred, Q, bound)
@@ -583,13 +592,15 @@ def cmd_group_compose(args) -> int:
 
 def cmd_group_act(args) -> int:
     g = _element_from("--g", args.g)
+    if args.curve_m and (args.lattice, args.re, args.im) != (None, None, None):
+        raise InputError("group act takes --curve-m, or --lattice with --re and --im, not both")
     if args.curve_m:
         out = act_on_charge(g, CurveCharge(_option("--curve-m", parse_matrix2, args.curve_m)))
         print("m =", [[frac_str(x) for x in row] for row in out.m])
         return 0
     if None in (args.lattice, args.re, args.im):
         raise InputError("group act needs --curve-m, or --lattice with --re and --im")
-    lat = load_lattice(args.lattice)
+    lat = _json_file("--lattice", load_lattice, args.lattice)
     om = _mukai_charge(args, lat)
     out = act_on_charge(g, om)
     print("re =", out.re, " im =", out.im)
@@ -597,7 +608,7 @@ def cmd_group_act(args) -> int:
 
 
 def cmd_group_commute(args) -> int:
-    lat = load_lattice(args.lattice)
+    lat = _json_file("--lattice", load_lattice, args.lattice)
     images = _option("--iso", parse_iso, args.iso, lat)
     g = _element_from("--g", args.g)
     om = _mukai_charge(args, lat)

@@ -14,10 +14,10 @@ than an enforced invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+from ._record import record
 from .exact import PhaseValue, Quad, RatComplex, as_fraction, cot_pi
 from .lattice import InputError, mat_det, mat_inv, mat_mul
 
@@ -26,7 +26,7 @@ class NotInOrbit(InputError):
     """The charge is not in the orientation-preserving orbit of -deg + i rk."""
 
 
-@dataclass(frozen=True)
+@record
 class CurveClass:
     r: int
     d: int
@@ -46,7 +46,7 @@ class CurveClass:
 STD_MATRIX = ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
 
 
-@dataclass(frozen=True)
+@record
 class CurveCharge:
     """Charge (r, d) |-> m . (r, d) read as (Re Z, Im Z); m invertible."""
 
@@ -130,7 +130,7 @@ def phase_order_check(zc: CurveCharge, d_range: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class HNPolygon:
     """Cumulative charge path of phase-ordered parts.
 

@@ -34,10 +34,11 @@ Floats appear only as display values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Union
+
+from ._record import record
 
 Rational = Union[int, Fraction]
 
@@ -118,7 +119,7 @@ def _sqrt_enclosure(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
 # exact complex rationals
 
 
-@dataclass(frozen=True)
+@record
 class RatComplex:
     """Complex number with exact rational parts."""
 

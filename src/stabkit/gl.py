@@ -15,10 +15,10 @@ and central_shift(2k) (with f(phi) = phi + 2k) lowers them by 2k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from ._record import record
 from .exact import ExactnessError, PhaseValue, RatComplex, as_fraction, frac_str
 from .heart import HeartCharge
 from .k3 import K3CentralCharge
@@ -53,7 +53,7 @@ def _rot_matrix_half_integer(q: Fraction) -> tuple:
     return ((Fraction(c), Fraction(s)), (Fraction(-s), Fraction(c)))
 
 
-@dataclass(frozen=True)
+@record
 class GLTildeElement:
     """(M, f) with f encoded by the anchor f(0).
 
@@ -232,7 +232,7 @@ def act_on_charge(g: GLTildeElement, Z):
     raise InputError(f"cannot act on {type(Z).__name__}")
 
 
-@dataclass(frozen=True)
+@record
 class HeartActionResult:
     """Outcome of acting on a heart charge: the relabeled slicing always
     exists (phases move by f^{-1}); `charge` carries the new heart when

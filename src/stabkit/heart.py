@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from operator import mul
 from typing import Callable, Optional, Sequence
 
+from ._record import record
 from .exact import (
     ExactnessError,
     PhaseValue,
@@ -198,7 +198,7 @@ def _bits(mask: int):
 # charges
 
 
-@dataclass(frozen=True)
+@record
 class HeartCharge:
     """One value z_v in H-bar \\ {0} per vertex, plus a common rotation.
 
@@ -265,7 +265,7 @@ class HeartCharge:
 # semistability and filtrations
 
 
-@dataclass(frozen=True)
+@record
 class SemistabilityVerdict:
     status: str  # 'stable' | 'semistable' | 'unstable'
     phase: PhaseValue
@@ -349,7 +349,7 @@ def is_semistable(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> SemistabilityVerd
     return SemistabilityVerdict(status, phi)
 
 
-@dataclass(frozen=True)
+@record
 class HNResult:
     """Chain of subobject dimension vectors 0 = d_0 < ... < d_k = dims(E)
     together with the factor classes and their strictly decreasing phases."""
@@ -507,7 +507,7 @@ def jh_oracle(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> set:
 # torsion pairs and tilts
 
 
-@dataclass(frozen=True)
+@record
 class TorsionCut:
     """0 -> E' -> E -> E'' -> 0 with phases(E') > phi0 >= phases(E'')."""
 
@@ -545,7 +545,7 @@ def torsion_cut(
     return TorsionCut(sub, sub.dims, quo, quo.dims, hom_dim == 0)
 
 
-@dataclass(frozen=True)
+@record
 class TorsionPairReport:
     ok: bool
     witness: Optional[QuiverRep] = None
@@ -614,7 +614,7 @@ def _torsion_pair(
     return TorsionPairReport(True), cat, t_classes
 
 
-@dataclass(frozen=True)
+@record
 class TiltReport:
     ok: bool
     degenerate: Optional[str] = None  # 'identity' (F=0) | 'shift' (T=0) | None
@@ -692,7 +692,7 @@ def slicing_distance(
     return sup
 
 
-@dataclass(frozen=True)
+@record
 class NormValue:
     """sup |U(E)| / |Z(E)| over semistable E up to the bound, stored by
     its exact square as a Quad (rational for coefficient perturbations,
@@ -738,7 +738,7 @@ def mass(E: QuiverRep, zc: HeartCharge, Q: Quiver) -> SqrtSum:
     return total
 
 
-@dataclass(frozen=True)
+@record
 class DeformationReport:
     applicable: bool
     ok: Optional[bool] = None
@@ -821,7 +821,7 @@ def slicing_hom_vanishing(
     return checked, tuple(failures)
 
 
-@dataclass(frozen=True)
+@record
 class PrinciplesReport:
     ok: bool
     checked_pairs: int
@@ -896,7 +896,7 @@ def _all_nonzero_invertible(basis, Q: Quiver) -> bool:
     return all(_is_iso(phis, Q.p) for phis in _hom_combinations(basis, Q.p))
 
 
-@dataclass(frozen=True)
+@record
 class LocalFinitenessReport:
     eta: Fraction
     slices: tuple  # ((phase float, object count, largest member total dim), ...)

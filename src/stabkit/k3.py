@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Optional
 
+from ._record import record
 from .exact import PhaseValue, Quad, RatComplex, as_fraction
 from .lattice import (
     ComplexMukaiVector,
@@ -55,14 +55,15 @@ class UndefinedPhase(InputError):
 # the charge
 
 
-@dataclass(frozen=True)
+@record
 class K3CentralCharge:
     """Z = <exp(B + i omega), .> with rational B, omega and omega^2 > 0."""
 
     lat: NSLattice
     B: tuple
     omega: tuple
-    Om: ComplexMukaiVector = field(compare=False)
+    Om: ComplexMukaiVector
+    _uncompared = ("Om",)  # derived from the other fields
 
     def __init__(self, lat: NSLattice, B, omega):
         B = tuple(as_fraction(x) for x in B)
@@ -103,7 +104,7 @@ def phase(z: RatComplex) -> PhaseValue:
 # guards and desk checks
 
 
-@dataclass(frozen=True)
+@record
 class GuardResult:
     ok: bool
     witness: Optional[MukaiVector] = None
@@ -183,7 +184,7 @@ def torsion_side(v: MukaiVector, zc: K3CentralCharge) -> str:
     return "T" if zc.lat.ns_dot(zc.omega, v.l) > v.r * zc.beta else "F"
 
 
-@dataclass(frozen=True)
+@record
 class HeartImageReport:
     checked: int
     violations: tuple
@@ -242,7 +243,7 @@ def heart_image_check(zc: K3CentralCharge, bounds: DeltaBox) -> HeartImageReport
 # exponential-form extraction and normalization
 
 
-@dataclass(frozen=True)
+@record
 class OmegaBetaForm:
     """Slope data (0, omega, beta) of a point-normalized charge vector."""
 
@@ -273,7 +274,7 @@ def extract_omega_beta(Om: ComplexMukaiVector, lat: NSLattice) -> OmegaBetaForm:
     return OmegaBetaForm(scale, omega, beta)
 
 
-@dataclass(frozen=True)
+@record
 class ExpNormalForm:
     """M (2x2, det > 0, exact entries) with M.(re, im) = exp_class(B, omega).
     Entries are rational whenever the norming square is a perfect square,
@@ -348,7 +349,7 @@ def normalize_to_exp_form(Om: ComplexMukaiVector, lat: NSLattice) -> ExpNormalFo
 TParam = Fraction | Quad
 
 
-@dataclass(frozen=True)
+@record
 class AffinePath:
     """t |-> const + t * lin, with rational vector coefficients."""
 
@@ -372,7 +373,7 @@ class AffinePath:
         return AffinePath(v, vzero(len(v)))
 
 
-@dataclass(frozen=True)
+@record
 class Wall:
     """A wall point on a scan path.
 
@@ -390,7 +391,7 @@ class Wall:
         return not isinstance(self.t, Quad) or self.t.is_rational()
 
 
-@dataclass(frozen=True)
+@record
 class WallScanResult:
     walls: tuple
     truncated: bool

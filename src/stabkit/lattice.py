@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._record import record
 from .exact import InvariantError, as_fraction, frac_str
 
 
@@ -196,7 +196,7 @@ def symmetric_signature(gram) -> tuple[int, int]:
 # domain types
 
 
-@dataclass(frozen=True)
+@record
 class NSLattice:
     """The Neron-Severi lattice: even Gram matrix of signature (1, rho-1),
     a reference positive class, and user-declared (-2)-curve classes."""
@@ -307,7 +307,7 @@ class NSLattice:
         return NSLattice(gram, ample_ref, curves)
 
 
-@dataclass(frozen=True)
+@record
 class AmpleCertificate:
     """What the lattice can certify about positivity of omega.  Whether
     'positive on all declared curves' means nef or ample cannot be decided
@@ -334,7 +334,7 @@ def load_lattice(path) -> NSLattice:
         return NSLattice.from_json_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
+@record
 class MukaiVector:
     """Class (r, l, s) in Z + NS(X) + Z; entries may be rational."""
 
@@ -388,7 +388,7 @@ def basis_vectors(lat: NSLattice) -> list[MukaiVector]:
     ]
 
 
-@dataclass(frozen=True)
+@record
 class ComplexMukaiVector:
     """Central-charge datum Omega = re + i*im in N(X) x C, stored as two
     rational Mukai vectors."""
@@ -433,7 +433,7 @@ def exp_class(B, omega, lat: NSLattice) -> ComplexMukaiVector:
     return ComplexMukaiVector(re, im)
 
 
-@dataclass(frozen=True)
+@record
 class DeltaBox:
     """Finite search box |r| <= r_max, |l_i| <= l_max, |s| <= s_max."""
 
@@ -450,7 +450,7 @@ class DeltaBox:
         return DeltaBox(b, b, b)
 
 
-@dataclass(frozen=True)
+@record
 class DeltaList:
     """Result of a (-2)-class enumeration; always box-truncated since
     the full set is infinite."""
@@ -528,7 +528,7 @@ def orientation_component(Om: ComplexMukaiVector, lat: NSLattice) -> str:
     return "plus" if det > 0 else "minus"
 
 
-@dataclass(frozen=True)
+@record
 class P0Result:
     status: str  # 'inside' | 'outside' | 'not_plus'
     witness: Optional[MukaiVector] = None

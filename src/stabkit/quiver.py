@@ -26,10 +26,10 @@ import functools
 import graphlib
 import itertools
 import json
-from dataclasses import dataclass
 from operator import getitem, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from ._record import record
 from .exact import InvariantError, RatComplex
 from .lattice import InputError, rational_list, require_int, require_keys, require_list
 
@@ -207,7 +207,7 @@ def _vectors(d: int, p: int) -> tuple:
     return tuple(v[::-1] for v in itertools.product(range(p), repeat=d))
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     dim: int
     elems: frozenset  # its vectors
@@ -268,7 +268,7 @@ def _subspace_order(d: int, p: int) -> tuple:
 # quivers and representations
 
 
-@dataclass(frozen=True)
+@record
 class Quiver:
     """Finite acyclic quiver with a field size; vertices are 0..n-1."""
 
@@ -319,7 +319,7 @@ class Quiver:
         return {"vertices": self.n, "arrows": [list(a) for a in self.arrows], "p": self.p}
 
 
-@dataclass(frozen=True)
+@record
 class QuiverRep:
     """dims[v] and one matrix per arrow, shaped dims[target] x dims[source]."""
 

@@ -502,6 +502,49 @@ class TestMalformedInput:
         )
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["k3", "guard", "--B", "0", "--omega", "t*h", "--t", "2", "--lattice"],
+            ["quiver", "check", "--suite", "gp", "--config"],
+        ],
+        ids=["lattice", "config"],
+    )
+    def test_file_json_syntax_names_the_option_and_path(self, tmp_path, capsys, argv):
+        path = tmp_path / "truncated.json"
+        path.write_text('{"rank": 1, "gram": [[2]],\n')
+        assert main([*argv, str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {argv[-1]}: {path}: Expecting property name enclosed in double quotes: "
+            "line 2 column 1 (char 27)\n"
+        ))
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["quiver", "deform", "--config", A2_CONFIG, "--eps", "1/4", "--bound", "2,2",
+              "--rotate", "1/6", "--perturb", "0:x"], "give --rotate or --perturb, not both"),
+            (["quiver", "deform", "--config", A2_CONFIG, "--eps", "1/4", "--bound", "2,2",
+              "--rotate", "1/6", "--perturb", "0:1/10,0"], "give --rotate or --perturb, not both"),
+            *((["group", "act", "--g", '{"rot": "1/8"}', "--curve-m", "1,0;0,1", *extra],
+               "group act takes --curve-m, or --lattice with --re and --im, not both")
+              for extra in (["--lattice", K3_CONFIG], ["--re", "1,0,-1"], ["--im", "0,1,0"],
+                            ["--lattice", K3_CONFIG, "--re", "1,0,-1", "--im", "0,1,0"])),
+            *((["k3", "scan", "--lattice", K3_CONFIG, "--B", "u*h", "--omega", "t*h",
+                "--t", "1/2..2", "--u", "0..1", "--bound", "2", "--svg", "c.svg", *extra],
+               "a two-parameter scan (--u) writes only --svg, not -o or --json")
+              for extra in (["-o", "w.csv", "--json", "w.json"], ["-o", "w.csv"],
+                            ["--json", "w.json"])),
+        ],
+        ids=["deform-bad-perturb", "deform", "act-lattice", "act-re", "act-im", "act-all",
+             "scan-both", "scan-output", "scan-json"],
+    )
+    def test_conflicting_options(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv, env, message",
         [
             (["scan", "--B", "0", "--t", "1..2", "--k-bound=-1"], None,
